@@ -21,6 +21,7 @@ from .numkernel import (
     hamiltonian_phase_normalize,
     sigma_min,
     symplectic_j,
+    toeplitz_matrix,
     tridiag_toeplitz,
     tridiag_toeplitz_reference,
 )
@@ -36,9 +37,7 @@ from .sensitivity import (
     WilkinsonPerturbation,
     analyze,
     coalescence_estimate,
-    cond_standard,
-    cond_structured,
-    disk_radius,
+    kappas,
     wilkinson,
 )
 from .structures import (

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, VanishingOverlap
+from . import numkernel
+from .errors import DegenerateSpectrum
 from .numkernel import Eigensystem
-from .sensitivity import coalescence_estimate, wilkinson
+from .sensitivity import _check_overlaps, coalescence_estimate, kappas, wilkinson
 from .structures import (
     FULL,
     StructurePattern,
+    full,
     normalized_projection,
     random_member,
     random_rank_one,
@@ -85,9 +87,33 @@ def resolve_pair_and_epsilon(sys: Eigensystem, cfg: SweepConfig):
     return tuple(int(i) for i in pair), float(eps)
 
 
-def _sorted_spectrum(B: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvals(B)
-    return w[np.lexsort((w.imag, w.real))]
+def _perturbed_spectra(A: np.ndarray, directions, scales: np.ndarray):
+    """Spectra of A + c * D for every direction D and every scale c.
+
+    One stacked eigensolve over the flattened (direction x scale) axis,
+    chunked to ``numkernel.STACK_ENTRIES`` matrix entries; each spectrum is
+    sorted by (Re, Im).  Returns the points and, parallel to them, the
+    direction index and the scale index of each point.
+    """
+    D = np.asarray(directions)
+    n = A.shape[0]
+    m, K = D.shape[0], scales.shape[0]
+    d_idx = np.repeat(np.arange(m), K)
+    k_idx = np.tile(np.arange(K), m)
+    spectra = np.empty((m * K, n), dtype=complex)
+    chunk = max(1, numkernel.STACK_ENTRIES // (n * n))
+    for start in range(0, m * K, chunk):
+        rows = slice(start, start + chunk)
+        stack = A + scales[k_idx[rows], None, None] * D[d_idx[rows]]
+        spectra[rows] = np.linalg.eigvals(stack)
+    order = np.lexsort((spectra.imag, spectra.real))
+    points = np.take_along_axis(spectra, order, axis=1).ravel()
+    return points, np.repeat(d_idx, n), np.repeat(k_idx, n)
+
+
+def _unit_circle(eps: float, K: int) -> np.ndarray:
+    """eps * e^{i theta_k} on the uniform grid theta_k = 2 pi k / K."""
+    return eps * np.exp(1j * (2.0 * np.pi * np.arange(K) / K))
 
 
 def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointCloud:
@@ -98,29 +124,17 @@ def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointC
     """
     A = np.asarray(A, dtype=complex)
     pair, eps = resolve_pair_and_epsilon(sys, cfg)
-    n = sys.dim
-    K = cfg.angles
-    thetas = 2.0 * np.pi * np.arange(K) / K
-
-    points, src, ang, smp = [], [], [], []
-    for i in pair:
-        W = wilkinson(sys, i, cfg.pattern).projected
-        for k, theta in enumerate(thetas):
-            w = _sorted_spectrum(A + eps * np.exp(1j * theta) * W)
-            points.append(w)
-            src.append(np.full(n, i))
-            ang.append(np.full(n, k))
-            smp.append(np.zeros(n, dtype=int))
-
+    directions = [wilkinson(sys, i, cfg.pattern).projected for i in pair]
+    points, d_idx, k_idx = _perturbed_spectra(A, directions, _unit_circle(eps, cfg.angles))
     return PointCloud(
-        points=np.concatenate(points),
-        source_eigen=np.concatenate(src),
-        angle_index=np.concatenate(ang),
-        sample_index=np.concatenate(smp),
+        points=points,
+        source_eigen=np.asarray(pair)[d_idx],
+        angle_index=k_idx,
+        sample_index=np.zeros_like(k_idx),
         epsilon=eps,
         pattern=cfg.pattern,
         kind=WILKINSON_SWEEP,
-        meta={"pair": pair, "angles": K},
+        meta={"pair": pair, "angles": cfg.angles},
     )
 
 
@@ -137,35 +151,25 @@ def random_cloud(
     A = np.asarray(A, dtype=complex)
     if cfg.epsilon is None:
         raise ValueError("random_cloud requires an explicit epsilon")
-    eps = cfg.epsilon
     n = A.shape[0]
-    K = cfg.angles
-    thetas = 2.0 * np.pi * np.arange(K) / K
     rng = np.random.default_rng(seed)
-
-    points, src, ang, smp = [], [], [], []
-    for s in range(samples):
-        if cfg.pattern.kind == FULL:
-            E = random_rank_one(n, rng)
-        else:
-            E = random_member(cfg.pattern, rng)
-        for k, theta in enumerate(thetas):
-            w = _sorted_spectrum(A + eps * np.exp(1j * theta) * E)
-            points.append(w)
-            src.append(np.full(n, -1))
-            ang.append(np.full(n, k))
-            smp.append(np.full(n, s))
-
+    if cfg.pattern.kind == FULL:
+        directions = [random_rank_one(n, rng) for _ in range(samples)]
+    else:
+        directions = [random_member(cfg.pattern, rng) for _ in range(samples)]
+    points, d_idx, k_idx = _perturbed_spectra(
+        A, directions, _unit_circle(cfg.epsilon, cfg.angles)
+    )
     return PointCloud(
-        points=np.concatenate(points),
-        source_eigen=np.concatenate(src),
-        angle_index=np.concatenate(ang),
-        sample_index=np.concatenate(smp),
-        epsilon=eps,
+        points=points,
+        source_eigen=np.full_like(d_idx, -1),
+        angle_index=k_idx,
+        sample_index=d_idx,
+        epsilon=cfg.epsilon,
         pattern=cfg.pattern,
         kind=RANDOM_BASELINE,
         seed=seed,
-        meta={"samples": samples, "angles": K},
+        meta={"samples": samples, "angles": cfg.angles},
     )
 
 
@@ -184,86 +188,76 @@ def first_order_trajectories(
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     E = np.asarray(E, dtype=complex)
-    variants = [(0, E)]
+    directions = [E]
     if S.kind != FULL:
-        variants.append((1, normalized_projection(E, S)))
+        directions.append(normalized_projection(E, S))
+    _check_overlaps(sys, range(sys.dim))
 
-    points, src, ang, smp = [], [], [], []
-    for tag, direction in variants:
-        for i in range(sys.dim):
-            o = sys.overlaps[i]
-            if abs(o) <= 1e-14:
-                raise VanishingOverlap(f"eigenvalue {i} is numerically defective")
-            slope = np.vdot(sys.lefts[:, i], direction @ sys.rights[:, i]) / o
-            traj = sys.eigenvalues[i] + eps_grid * slope
-            points.append(traj)
-            src.append(np.full(eps_grid.size, i))
-            ang.append(np.full(eps_grid.size, tag))
-            smp.append(np.arange(eps_grid.size))
-
+    n, m, V = sys.dim, eps_grid.size, len(directions)
+    slopes = np.array([
+        [np.vdot(sys.lefts[:, i], D @ sys.rights[:, i]) for i in range(n)]
+        for D in directions
+    ]) / sys.overlaps
+    points = sys.eigenvalues[None, :, None] + eps_grid[None, None, :] * slopes[:, :, None]
     return PointCloud(
-        points=np.concatenate(points),
-        source_eigen=np.concatenate(src),
-        angle_index=np.concatenate(ang),
-        sample_index=np.concatenate(smp),
+        points=points.ravel(),
+        source_eigen=np.tile(np.repeat(np.arange(n), m), V),
+        angle_index=np.repeat(np.arange(V), n * m),
+        sample_index=np.tile(np.arange(m), V * n),
         epsilon=float(eps_grid.max(initial=0.0)),
         pattern=S,
         kind=TRAJECTORY,
-        meta={"steps": int(eps_grid.size)},
+        meta={"steps": int(m)},
     )
 
 
-def _all_ones_direction(n: int, S: StructurePattern) -> np.ndarray:
-    ones = np.ones((n, n), dtype=complex)
-    if S.kind == FULL:
-        return ones / n
-    return normalized_projection(ones, S)
-
-
-def abscissa_lower_bound(
-    A: np.ndarray, sys: Eigensystem, epsilon: float, S: StructurePattern
-) -> float:
-    """max Re of the spectrum of A + eps * E for the unit-norm all-ones
-    direction (projected onto S when structured); a lower bound for the
-    (structured) eps-pseudospectral abscissa."""
+def _all_ones_spectrum(A: np.ndarray, epsilon: float, S: StructurePattern) -> np.ndarray:
+    """Spectrum of A + eps * E for the unit-norm all-ones direction E,
+    projected onto S when structured."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     A = np.asarray(A, dtype=complex)
-    E = _all_ones_direction(A.shape[0], S)
-    return float(np.max(np.linalg.eigvals(A + epsilon * E).real))
+    ones = np.ones(A.shape, dtype=complex)
+    E = ones / A.shape[0] if S.kind == FULL else normalized_projection(ones, S)
+    return _perturbed_spectra(A, [E], np.array([float(epsilon)]))[0]
 
 
-def radius_lower_bound(
-    A: np.ndarray, sys: Eigensystem, epsilon: float, S: StructurePattern
-) -> float:
+def abscissa_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:
+    """max Re of the spectrum of A + eps * E for the all-ones direction E of
+    :func:`_all_ones_spectrum`; a lower bound for the (structured)
+    eps-pseudospectral abscissa."""
+    return float(np.max(_all_ones_spectrum(A, epsilon, S).real))
+
+
+def radius_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:
     """As :func:`abscissa_lower_bound` with max |lambda| in place of max Re."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    A = np.asarray(A, dtype=complex)
-    E = _all_ones_direction(A.shape[0], S)
-    return float(np.max(np.abs(np.linalg.eigvals(A + epsilon * E))))
+    return float(np.max(np.abs(_all_ones_spectrum(A, epsilon, S))))
 
 
-def subcloud(cloud: PointCloud, sys: Eigensystem, i: int) -> np.ndarray:
-    """Points of a sweep cloud matched to the component of eigenvalue i.
+def _component_match(cloud: PointCloud, sys: Eigensystem) -> np.ndarray:
+    """Sweep blocks matched to the unperturbed eigenvalues, one match per block.
 
     Each swept spectrum (one block of n points) is matched one-to-one to the
-    unperturbed eigenvalues by minimal total distance; the sub-cloud collects,
-    over every block of the cloud, the point assigned to lambda_i.
+    eigenvalues by minimal total distance; row b, column i holds the point of
+    block b assigned to lambda_i.
     """
     from scipy.optimize import linear_sum_assignment
 
     n = sys.dim
     if len(cloud) % n != 0:
         raise DegenerateSpectrum("cloud size is not a multiple of the dimension")
-    z = cloud.points
-    out = []
-    for start in range(0, len(cloud), n):
-        block = z[start : start + n]
-        cost = np.abs(block[:, None] - sys.eigenvalues[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        out.append(block[rows[cols == i][0]])
-    return np.asarray(out)
+    blocks = cloud.points.reshape(-1, n)
+    matched = np.empty_like(blocks)
+    for b, block in enumerate(blocks):
+        rows, cols = linear_sum_assignment(np.abs(block[:, None] - sys.eigenvalues[None, :]))
+        matched[b, cols] = block[rows]
+    return matched
+
+
+def subcloud(cloud: PointCloud, sys: Eigensystem, i: int) -> np.ndarray:
+    """Points of a sweep cloud matched to the component of eigenvalue i:
+    over every block of the cloud, the point assigned to lambda_i."""
+    return _component_match(cloud, sys)[:, i]
 
 
 def coalescence_gap(cloud: PointCloud, sys: Eigensystem, pair: tuple) -> float:
@@ -272,8 +266,8 @@ def coalescence_gap(cloud: PointCloud, sys: Eigensystem, pair: tuple) -> float:
     Values below ``COALESCENCE_FACTOR * epsilon`` indicate that the two
     pseudospectrum components have (nearly) coalesced.
     """
-    a = subcloud(cloud, sys, pair[0])
-    b = subcloud(cloud, sys, pair[1])
+    matched = _component_match(cloud, sys)
+    a, b = matched[:, pair[0]], matched[:, pair[1]]
     if a.size == 0 or b.size == 0:
         raise DegenerateSpectrum("empty sub-cloud; pair does not match sweep")
     return float(np.min(np.abs(a[:, None] - b[None, :])))
@@ -294,12 +288,9 @@ def coverage_comparison(
     A baseline that under-covers the coalescence region shows
     ``sweep_to_baseline > baseline_to_sweep``.
     """
-    from .sensitivity import cond_standard
-
     li = sys.eigenvalues[pair[0]]
     lj = sys.eigenvalues[pair[1]]
-    ki = cond_standard(sys, pair[0])
-    kj = cond_standard(sys, pair[1])
+    ki, kj = kappas(sys, full(sys.dim))[list(pair)]
     pinch = li + (lj - li) * (ki / (ki + kj))
     radius = radius_factor * abs(li - lj)
     near_sweep = sweep.points[np.abs(sweep.points - pinch) < radius]
@@ -317,7 +308,7 @@ def directed_coverage_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     xs = np.asarray(xs).ravel()
     ys = np.asarray(ys).ravel()
     best = 0.0
-    chunk = max(1, 2_000_000 // max(ys.size, 1))
+    chunk = max(1, numkernel.STACK_ENTRIES // max(ys.size, 1))
     for start in range(0, xs.size, chunk):
         d = np.abs(xs[start : start + chunk, None] - ys[None, :]).min(axis=1)
         best = max(best, float(d.max()))

@@ -31,6 +31,8 @@ from .numkernel import eig_pairs
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+STRUCTURE_CHOICES = ("auto", "full", "toeplitz", "hankel", "hamiltonian")
+
 _VALIDATION_ERRORS = (BadParams, UnknownFamily, OutOfBounds)
 _NUMERIC_ERRORS = (
     NonConvergence,
@@ -140,20 +142,11 @@ def cmd_approx(args) -> int:
         print(f"wrote {base_path}: {len(baseline)} points")
 
     if args.svg:
-        w = sys_.eigenvalues
-        pad = 3.0 * cloud.epsilon * max(
-            sensitivity.cond_standard(sys_, i) for i in range(sys_.dim)
-        )
-        window = (
-            w.real.min() - pad,
-            w.real.max() + pad,
-            w.imag.min() - pad,
-            w.imag.max() + pad,
-        )
+        window = oracle.default_window(sys_, cloud.epsilon)
         clouds = [("wilkinson_sweep", cloud.points)]
         if baseline is not None:
             clouds.append(("random_baseline", baseline.points))
-        io.atomic_write(args.svg, svg.svg_render(clouds, w, window))
+        io.atomic_write(args.svg, svg.svg_render(clouds, sys_.eigenvalues, window))
         print(f"wrote {args.svg}")
     return 0
 
@@ -228,11 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="condition numbers and coalescence estimates")
     p.add_argument("matrix")
-    p.add_argument(
-        "--structure",
-        default="auto",
-        choices=("auto", "full", "toeplitz", "hankel", "hamiltonian"),
-    )
+    p.add_argument("--structure", default="auto", choices=STRUCTURE_CHOICES)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_analyze)
 
@@ -240,11 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--angles", type=int, default=approx_mod.DEFAULT_ANGLES)
-    p.add_argument(
-        "--structure",
-        default="auto",
-        choices=("auto", "full", "toeplitz", "hankel", "hamiltonian"),
-    )
+    p.add_argument("--structure", default="auto", choices=STRUCTURE_CHOICES)
     p.add_argument("--pair", default=None, help="i,j eigenvalue pair override")
     p.add_argument("--baseline", type=int, default=0, help="random baseline samples")
     p.add_argument("--seed", type=int, default=0)
@@ -266,11 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--eps-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--structure",
-        default="auto",
-        choices=("auto", "full", "toeplitz", "hankel", "hamiltonian"),
-    )
+    p.add_argument("--structure", default="auto", choices=STRUCTURE_CHOICES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trajectory)
 

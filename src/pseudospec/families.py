@@ -14,20 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams, UnknownFamily
+from .numkernel import toeplitz_matrix
 from .structures import StructurePattern, hamiltonian, project, toeplitz
 
 FAMILIES = ("tridiag_toeplitz", "pentadiag_toeplitz", "hamiltonian_random")
-
-
-def _toeplitz_from_diagonals(n: int, diagonals: dict) -> np.ndarray:
-    A = np.zeros((n, n), dtype=complex)
-    for offset, value in diagonals.items():
-        idx = np.arange(n - abs(offset))
-        if offset >= 0:
-            A[idx, idx + offset] = value
-        else:
-            A[idx - offset, idx] = value
-    return A
 
 
 def generate(family: str, n: int, seed: int):
@@ -46,7 +36,7 @@ def generate(family: str, n: int, seed: int):
         sub = 5.0 * rng.uniform()
         diag = rng.uniform()
         sup = rng.uniform()
-        A = _toeplitz_from_diagonals(n, {-1: sub, 0: diag, 1: sup})
+        A = toeplitz_matrix(n, {-1: sub, 0: diag, 1: sup})
         pattern = toeplitz(n, {-1, 0, 1}, real=True)
         params = {"sub": sub, "diag": diag, "super": sup}
         return A, pattern, params
@@ -65,7 +55,7 @@ def generate(family: str, n: int, seed: int):
             1: draw(1.0),
             2: draw(1.0),
         }
-        A = _toeplitz_from_diagonals(n, diagonals)
+        A = toeplitz_matrix(n, diagonals)
         pattern = toeplitz(n, {-2, -1, 0, 1, 2})
         params = {
             str(k): [v.real, v.imag] for k, v in sorted(diagonals.items())

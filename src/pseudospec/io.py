@@ -85,7 +85,13 @@ def matrix_hash(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+# Cloud header keys after the fixed lines, with JSON values: the pattern
+# (dim, real, support, n_half) and the meta entries without a fixed line.
+_CLOUD_KEYS = ("dim", "real", "support", "n_half", "pair", "steps")
+
+
 def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
+    extra = {"dim": cloud.pattern.dim, **pattern_to_dict(cloud.pattern), **cloud.meta}
     lines = [
         f"# epsilon={_fmt(cloud.epsilon)}",
         f"# pattern={cloud.pattern.kind}",
@@ -94,6 +100,7 @@ def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
         f"# samples={cloud.meta.get('samples', 0)}",
         f"# seed={cloud.seed if cloud.seed is not None else ''}",
         f"# matrix_sha256={matrix_sha}",
+        *(f"# {k}={json.dumps(extra[k])}" for k in _CLOUD_KEYS if k in extra),
         "re,im,source_eigen,angle_index,sample_index",
     ]
     for z, e, k, s in zip(
@@ -128,7 +135,7 @@ def load_cloud(path: str, dim_hint: int = 0):
             ang.append(int(k_s))
             smp.append(int(s_s))
     kind = header.get("kind", "wilkinson_sweep")
-    pattern = StructurePattern("full", max(dim_hint, 2))
+    pattern, meta = _pattern_and_meta(header, dim_hint)
     cloud = PointCloud(
         points=np.array(points, dtype=complex),
         source_eigen=np.array(src, dtype=int),
@@ -138,9 +145,26 @@ def load_cloud(path: str, dim_hint: int = 0):
         pattern=pattern,
         kind=kind,
         seed=int(header["seed"]) if header.get("seed") else None,
-        meta={},
+        meta=meta,
     )
     return cloud, header
+
+
+def _pattern_and_meta(header: dict, dim_hint: int):
+    """The cloud's pattern and meta.  Files without a dim line (older
+    writers) carry neither and load with the full pattern at ``dim_hint``."""
+    extra = {k: json.loads(header[k]) for k in _CLOUD_KEYS if k in header}
+    if "dim" not in extra:
+        return StructurePattern("full", max(dim_hint, 2)), {}
+    pattern = pattern_from_dict({"kind": header.get("pattern", "full"), **extra}, extra["dim"])
+    # The angles and samples lines read 0 where the meta lacks them; sweeps
+    # and baselines always have at least one of each.
+    meta = {k: int(header[k]) for k in ("angles", "samples") if header.get(k, "0") != "0"}
+    if "pair" in extra:
+        meta["pair"] = tuple(extra["pair"])
+    if "steps" in extra:
+        meta["steps"] = extra["steps"]
+    return pattern, meta
 
 
 def grid_to_csv(field) -> str:

@@ -24,6 +24,9 @@ from .errors import (
 
 TOL_EIG = 1e-10
 GAP_TOL_FACTOR = 1e-8
+# Entry budget of one stacked LAPACK call (stacked SVDs here, stacked
+# eigensolves in the sweep engine), so the workspace stays modest.
+STACK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,26 @@ def _min_pairwise_gap(w: np.ndarray) -> float:
     return float(diff.min())
 
 
+def _normalized_triples(rights: np.ndarray, lefts: np.ndarray):
+    """Unit eigenvectors with fixed phases; returns ``(rights, lefts, overlaps)``.
+
+    Each right vector gets its canonical phase and each left vector the
+    phase that makes y^H x real positive.  Both inputs are overwritten.
+    """
+    overlaps = np.empty(rights.shape[1], dtype=complex)
+    for i in range(rights.shape[1]):
+        x = _canonical_phase(rights[:, i] / np.linalg.norm(rights[:, i]))
+        y = lefts[:, i] / np.linalg.norm(lefts[:, i])
+        o = np.vdot(y, x)
+        if abs(o) > 0.0:
+            # y -> e^{i arg(o)} y makes y^H x real positive.
+            y = y * (o / abs(o))
+        rights[:, i] = x
+        lefts[:, i] = y
+        overlaps[i] = np.vdot(y, x)
+    return rights, lefts, overlaps
+
+
 def eig_pairs(A: np.ndarray) -> Eigensystem:
     """Compute the full eigensystem of A with matched left eigenvectors.
 
@@ -107,20 +130,7 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     # A^H y = conj(lambda) y; match left vectors by nearest conjugate eigenvalue.
     cost = np.abs(np.conj(wl)[None, :] - w[:, None])
     rows, cols = linear_sum_assignment(cost)
-    lefts = vl[:, cols[np.argsort(rows)]]
-
-    rights = np.empty_like(vr)
-    overlaps = np.empty(n, dtype=complex)
-    for i in range(n):
-        x = _canonical_phase(vr[:, i] / np.linalg.norm(vr[:, i]))
-        y = lefts[:, i] / np.linalg.norm(lefts[:, i])
-        o = np.vdot(y, x)
-        if abs(o) > 0.0:
-            # y -> e^{i arg(o)} y makes y^H x real positive.
-            y = y * (o / abs(o))
-        rights[:, i] = x
-        lefts[:, i] = y
-        overlaps[i] = np.vdot(y, x)
+    rights, lefts, overlaps = _normalized_triples(vr, vl[:, cols[np.argsort(rows)]])
 
     res_r = np.linalg.norm(A @ rights - rights * w[None, :], axis=0)
     res_l = np.linalg.norm(A.conj().T @ lefts - lefts * np.conj(w)[None, :], axis=0)
@@ -173,13 +183,7 @@ def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
 
 def sigma_min(A: np.ndarray, z: complex) -> float:
     """Smallest singular value of A - z I."""
-    A = _validate_square(A)
-    B = A - z * np.eye(A.shape[0])
-    try:
-        s = np.linalg.svd(B, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-    return float(s[-1])
+    return float(sigma_min_batch(A, [z])[0])
 
 
 def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -189,8 +193,7 @@ def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     out = np.empty(zs.shape[0])
     eye = np.eye(n)
-    # Chunked so the stacked workspace stays modest for large grids.
-    chunk = max(1, 2_000_000 // (n * n))
+    chunk = max(1, STACK_ENTRIES // (n * n))
     for start in range(0, zs.shape[0], chunk):
         zc = zs[start : start + chunk]
         stack = A[None, :, :] - zc[:, None, None] * eye[None, :, :]
@@ -202,15 +205,22 @@ def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return out
 
 
+def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:
+    """Assemble the n x n Toeplitz matrix with ``diagonals[k]`` on diagonal k
+    (k > 0 above the main diagonal) and zeros elsewhere."""
+    A = np.zeros((n, n), dtype=complex)
+    for offset, value in diagonals.items():
+        idx = np.arange(n - abs(offset))
+        if offset >= 0:
+            A[idx, idx + offset] = value
+        else:
+            A[idx - offset, idx] = value
+    return A
+
+
 def tridiag_toeplitz(n: int, sub: complex, diag: complex, sup: complex) -> np.ndarray:
     """Assemble the n x n tridiagonal Toeplitz matrix."""
-    A = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    A[idx + 1, idx] = sub
-    A[idx, idx] = diag
-    A[n - 1, n - 1] = diag
-    A[idx, idx + 1] = sup
-    return A
+    return toeplitz_matrix(n, {-1: sub, 0: diag, 1: sup})
 
 
 def tridiag_toeplitz_reference(
@@ -240,19 +250,7 @@ def tridiag_toeplitz_reference(
 
     order = np.lexsort((w.imag, w.real))
     w = w[order]
-    rights = rights[:, order]
-    lefts = lefts[:, order]
-
-    overlaps = np.empty(n, dtype=complex)
-    for i in range(n):
-        x = _canonical_phase(rights[:, i] / np.linalg.norm(rights[:, i]))
-        y = lefts[:, i] / np.linalg.norm(lefts[:, i])
-        o = np.vdot(y, x)
-        if abs(o) > 0.0:
-            y = y * (o / abs(o))
-        rights[:, i] = x
-        lefts[:, i] = y
-        overlaps[i] = np.vdot(y, x)
+    rights, lefts, overlaps = _normalized_triples(rights[:, order], lefts[:, order])
 
     return Eigensystem(
         eigenvalues=w,

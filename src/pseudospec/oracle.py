@@ -15,7 +15,8 @@ import numpy as np
 from .approx import PointCloud
 from .errors import EmptyLevelSet, OutOfBounds
 from .numkernel import sigma_min_batch
-from .sensitivity import cond_standard
+from .sensitivity import kappas
+from .structures import full
 
 DEFAULT_RESOLUTION = (200, 200)
 
@@ -54,7 +55,7 @@ class GridField:
 def default_window(sys, epsilon: float) -> tuple:
     """Spectrum bounding box padded by 2 * eps * max kappa on each side."""
     w = sys.eigenvalues
-    pad = 2.0 * epsilon * max(cond_standard(sys, i) for i in range(sys.dim))
+    pad = 2.0 * epsilon * max(kappas(sys, full(sys.dim)))
     pad = max(pad, 1e-6)
     return (
         float(w.real.min() - pad),

@@ -1,4 +1,4 @@
-"""Condition numbers, Wilkinson perturbations, disks, and the coalescence
+"""Condition numbers, Wilkinson perturbations, and the coalescence
 estimates of the (structured) distance from defectivity.
 
 kappa(lambda) = 1/|y^H x| and kappa^S(lambda) = ||(y x^H)|_S||_F / |y^H x|.
@@ -26,6 +26,7 @@ from .structures import (
     FULL,
     HAMILTONIAN,
     StructurePattern,
+    full,
     normalized_projection,
     project,
 )
@@ -63,41 +64,45 @@ def _complex_pattern(S: StructurePattern) -> StructurePattern:
     return replace(S, real=False) if S.real else S
 
 
-def _triple(sys: Eigensystem, i: int, S: StructurePattern):
-    """Eigen-triple (x, y, overlap), Hamiltonian-rephased when required."""
+def _rephased(sys: Eigensystem, S: StructurePattern) -> Eigensystem:
+    """The eigensystem, Hamiltonian-rephased when S requires it."""
     if S.kind == HAMILTONIAN:
-        sys = hamiltonian_phase_normalize(sys, S.n_half)
-    x = sys.rights[:, i]
-    y = sys.lefts[:, i]
-    o = sys.overlaps[i]
-    if abs(o) <= OVERLAP_TOL:
-        raise VanishingOverlap(f"eigenvalue {i} is numerically defective")
-    return x, y, o
+        return hamiltonian_phase_normalize(sys, S.n_half)
+    return sys
 
 
-def cond_standard(sys: Eigensystem, i: int) -> float:
-    """kappa(lambda_i) = 1 / |y_i^H x_i|."""
-    o = sys.overlaps[i]
-    if abs(o) <= OVERLAP_TOL:
-        raise VanishingOverlap(f"eigenvalue {i} is numerically defective")
-    return 1.0 / abs(o)
+def _check_overlaps(sys: Eigensystem, indices) -> None:
+    for i in indices:
+        if abs(sys.overlaps[i]) <= OVERLAP_TOL:
+            raise VanishingOverlap(f"eigenvalue {i} is numerically defective")
 
 
-def cond_structured(sys: Eigensystem, i: int, S: StructurePattern) -> float:
-    """kappa^S(lambda_i) = ||(y_i x_i^H)|_S||_F / |y_i^H x_i|."""
+def kappas(sys: Eigensystem, S: StructurePattern) -> np.ndarray:
+    """kappa^S(lambda_i) = ||(y_i x_i^H)|_S||_F / |y_i^H x_i| for every i.
+
+    For the full pattern this is kappa(lambda_i) = 1 / |y_i^H x_i|.  A
+    Hamiltonian eigensystem is rephased once for all eigenvalues.
+    """
+    sys = _rephased(sys, S)
+    _check_overlaps(sys, range(sys.dim))
+    # hypot rounds like the scalar |o|; np.abs on complex arrays may not
+    moduli = np.hypot(sys.overlaps.real, sys.overlaps.imag)
     if S.kind == FULL:
-        return cond_standard(sys, i)
+        return 1.0 / moduli
     S = _complex_pattern(S)
-    x, y, o = _triple(sys, i, S)
-    W = np.outer(y, np.conj(x))
-    return float(np.linalg.norm(project(W, S)) / abs(o))
+    norms = [
+        np.linalg.norm(project(np.outer(sys.lefts[:, i], np.conj(sys.rights[:, i])), S))
+        for i in range(sys.dim)
+    ]
+    return np.array(norms) / moduli
 
 
 def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> WilkinsonPerturbation:
     """Wilkinson perturbation y x^H and its normalized structure projection."""
     S = _complex_pattern(S)
-    x, y, _ = _triple(sys, i, S)
-    base = np.outer(y, np.conj(x))
+    sys = _rephased(sys, S)
+    _check_overlaps(sys, [i])
+    base = np.outer(sys.lefts[:, i], np.conj(sys.rights[:, i]))
     if S.kind == FULL:
         projected = base / np.linalg.norm(base)
     else:
@@ -105,12 +110,32 @@ def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> WilkinsonPerturb
     return WilkinsonPerturbation(base=base, projected=projected, eigen_index=i, pattern=S)
 
 
-def disk_radius(sys: Eigensystem, i: int, t: float, S: StructurePattern) -> float:
-    """Radius kappa^(S)(lambda_i) * t of the (structured) Wilkinson disk."""
-    if t < 0:
-        raise ValueError("radius parameter t must be nonnegative")
-    kappa = cond_standard(sys, i) if S.kind == FULL else cond_structured(sys, i, S)
-    return kappa * t
+def _closest_pair(w: np.ndarray, kappa: np.ndarray):
+    """Minimize |w_i - w_j| / (kappa_i + kappa_j) over pairs i < j with
+    positive kappa; returns ``(epsilon, (i, j))``."""
+    n = w.shape[0]
+    if n < 2:
+        raise DegenerateSpectrum("need at least two eigenvalues")
+    active = np.flatnonzero(kappa > 0.0)
+    if active.size < n:
+        warnings.warn(
+            "eigenvalues with zero structured condition number excluded "
+            f"from pair minimization: {sorted(set(range(n)) - set(active))}",
+            stacklevel=3,
+        )
+    if active.size < 2:
+        raise DegenerateSpectrum("fewer than two eigenvalues with positive kappa")
+
+    best = np.inf
+    best_pair = None
+    for a in range(active.size):
+        for b in range(a + 1, active.size):
+            i, j = int(active[a]), int(active[b])
+            value = abs(w[i] - w[j]) / (kappa[i] + kappa[j])
+            if value < best * (1.0 - PAIR_TIE_RTOL):
+                best = value
+                best_pair = (i, j)
+    return float(best), best_pair
 
 
 def coalescence_estimate(sys: Eigensystem, S: StructurePattern):
@@ -123,51 +148,22 @@ def coalescence_estimate(sys: Eigensystem, S: StructurePattern):
     Eigenvalues with kappa^S = 0 are first-order immune to structured
     perturbations and are excluded from the minimization.
     """
-    n = sys.dim
-    if n < 2:
-        raise DegenerateSpectrum("need at least two eigenvalues")
-
-    if S.kind == FULL:
-        kappas = np.array([cond_standard(sys, i) for i in range(n)])
-    else:
-        kappas = np.array([cond_structured(sys, i, S) for i in range(n)])
-
-    active = np.flatnonzero(kappas > 0.0)
-    if active.size < n:
-        warnings.warn(
-            "eigenvalues with zero structured condition number excluded "
-            f"from pair minimization: {sorted(set(range(n)) - set(active))}",
-            stacklevel=2,
-        )
-    if active.size < 2:
-        raise DegenerateSpectrum("fewer than two eigenvalues with positive kappa")
-
-    best = np.inf
-    best_pair = None
-    for a in range(active.size):
-        for b in range(a + 1, active.size):
-            i, j = int(active[a]), int(active[b])
-            value = abs(sys.eigenvalues[i] - sys.eigenvalues[j]) / (kappas[i] + kappas[j])
-            if value < best * (1.0 - PAIR_TIE_RTOL):
-                best = value
-                best_pair = (i, j)
-    return float(best), best_pair
+    return _closest_pair(sys.eigenvalues, kappas(sys, S))
 
 
 def analyze(sys: Eigensystem, S: StructurePattern) -> SensitivityReport:
     """Full per-eigenvalue sensitivity report for one structure pattern."""
-    n = sys.dim
-    kappas = np.array([cond_standard(sys, i) for i in range(n)])
-    eps, pair = coalescence_estimate(sys, StructurePattern(FULL, S.dim))
+    kappa = kappas(sys, full(S.dim))
+    eps, pair = _closest_pair(sys.eigenvalues, kappa)
     if S.kind == FULL:
-        kappas_s = kappas.copy()
+        kappa_s = kappa.copy()
         eps_s, pair_s = eps, pair
     else:
-        kappas_s = np.array([cond_structured(sys, i, S) for i in range(n)])
-        eps_s, pair_s = coalescence_estimate(sys, S)
+        kappa_s = kappas(sys, S)
+        eps_s, pair_s = _closest_pair(sys.eigenvalues, kappa_s)
     return SensitivityReport(
-        kappas=kappas,
-        kappas_structured=kappas_s,
+        kappas=kappa,
+        kappas_structured=kappa_s,
         epsilon=eps,
         epsilon_structured=eps_s,
         pair=pair,

@@ -15,13 +15,12 @@ from pseudospec import (
     cloud_inclusion_check,
     coalescence_estimate,
     coalescence_gap,
-    cond_standard,
-    cond_structured,
     eig_pairs,
     full,
     grid_field,
     hamiltonian,
     hankel,
+    kappas,
     project,
     random_member,
     random_rank_one,
@@ -115,8 +114,8 @@ def test_wilkinson_maximality():
                     [random_member(pattern, 700_000 + k) for k in range(1000)]
                 )
             for batch, kappa_of in (
-                (rank_one[n], lambda i: cond_standard(sys, i)),
-                (structured[pattern.kind], lambda i: cond_structured(sys, i, pattern)),
+                (rank_one[n], lambda i: kappas(sys, full(sys.dim))[i]),
+                (structured[pattern.kind], lambda i: kappas(sys, pattern)[i]),
             ):
                 for i in range(n):
                     kappa = kappa_of(i)
@@ -125,8 +124,8 @@ def test_wilkinson_maximality():
                     ok &= bool(np.all(vals <= kappa * (1.0 + 1e-10)))
             for i in range(n):
                 for S, kappa in (
-                    (full(n), cond_standard(sys, i)),
-                    (pattern, cond_structured(sys, i, pattern)),
+                    (full(n), kappas(sys, full(sys.dim))[i]),
+                    (pattern, kappas(sys, pattern)[i]),
                 ):
                     W = wilkinson(sys, i, S).projected
                     attained = abs(
@@ -144,10 +143,10 @@ def test_tridiagonal_toeplitz_sensitivity_ordering():
     for seed in range(20):
         A, pattern, _ = generate("tridiag_toeplitz", 5, seed=seed)
         sys = eig_pairs(A)
-        kappas = np.array([cond_standard(sys, i) for i in range(5)])
-        kappas_t = np.array([cond_structured(sys, i, pattern) for i in range(5)])
-        ok &= bool(np.allclose(kappas, kappas[::-1], rtol=1e-8))
-        if int(np.argmax(kappas)) in (1, 2, 3) and int(np.argmax(kappas_t)) in (0, 4):
+        kappa = kappas(sys, full(5))
+        kappa_t = kappas(sys, pattern)
+        ok &= bool(np.allclose(kappa, kappa[::-1], rtol=1e-8))
+        if int(np.argmax(kappa)) in (1, 2, 3) and int(np.argmax(kappa_t)) in (0, 4):
             ordering_hits += 1
         eps, _ = coalescence_estimate(sys, full(5))
         eps_t, _ = coalescence_estimate(sys, pattern)
@@ -250,7 +249,7 @@ def test_abscissa_bounds():
         for eps in (1e-2, 1e-1):
             field = grid_field(A, default_window(sys, eps), (200, 200))
             value, _ = abscissa_grid(field, eps)
-            lb = abscissa_lower_bound(A, sys, eps, full(4))
+            lb = abscissa_lower_bound(A, eps, full(4))
             ok &= lb <= value + field.cell_width
 
     A = np.diag([1.0, -1.0])
@@ -258,7 +257,7 @@ def test_abscissa_bounds():
     worst = 0.0
     for eps in (1e-2, 1e-1, 0.5):
         expected = eps / 2.0 + np.sqrt(1.0 + eps**2 / 4.0)
-        got = abscissa_lower_bound(A, sys, eps, full(2))
+        got = abscissa_lower_bound(A, eps, full(2))
         worst = max(worst, abs(got - expected))
     ok &= worst <= 1e-10
     _report("abscissa lower bounds", bool(ok), f"closed-form deviation {worst:.1e}")

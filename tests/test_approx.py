@@ -11,14 +11,19 @@ from pseudospec import (
     eig_pairs,
     first_order_trajectories,
     full,
+    normalized_projection,
     radius_lower_bound,
     random_cloud,
+    random_member,
+    random_rank_one,
     subcloud,
     sweep_wilkinson,
     toeplitz,
 )
+from pseudospec import numkernel
+from pseudospec.approx import _component_match
 from pseudospec.errors import DegenerateSpectrum
-from pseudospec.families import generate
+from pseudospec.families import FAMILIES, generate
 
 
 class TestSweepWilkinson:
@@ -161,9 +166,9 @@ class TestLowerBounds:
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         sys = eig_pairs(A)
         for eps in (0.1, 0.01):
-            got = abscissa_lower_bound(A, sys, eps, full(2))
+            got = abscissa_lower_bound(A, eps, full(2))
             assert got == pytest.approx(1.0 + eps, abs=1e-12)
-            assert radius_lower_bound(A, sys, eps, full(2)) == pytest.approx(
+            assert radius_lower_bound(A, eps, full(2)) == pytest.approx(
                 1.0 + eps, abs=1e-12
             )
 
@@ -173,13 +178,13 @@ class TestLowerBounds:
         alpha0 = float(sys.eigenvalues.real.max())
         rho0 = float(np.abs(sys.eigenvalues).max())
         for S in (full(6), pattern):
-            assert abscissa_lower_bound(A, sys, 1e-8, S) >= alpha0 - 1e-6
-            assert radius_lower_bound(A, sys, 1e-8, S) >= rho0 - 1e-6
+            assert abscissa_lower_bound(A, 1e-8, S) >= alpha0 - 1e-6
+            assert radius_lower_bound(A, 1e-8, S) >= rho0 - 1e-6
 
     def test_continuity_in_epsilon(self):
         A, pattern, _ = generate("tridiag_toeplitz", 5, seed=7)
         sys = eig_pairs(A)
-        vals = [abscissa_lower_bound(A, sys, e, pattern) for e in (1e-6, 1e-3, 1e-2)]
+        vals = [abscissa_lower_bound(A, e, pattern) for e in (1e-6, 1e-3, 1e-2)]
         assert abs(vals[1] - vals[0]) < 0.1
         assert abs(vals[2] - vals[1]) < 0.2
 
@@ -187,9 +192,103 @@ class TestLowerBounds:
         A = np.diag([0.0, 1.0])
         sys = eig_pairs(A)
         with pytest.raises(ValueError):
-            abscissa_lower_bound(A, sys, 0.0, full(2))
+            abscissa_lower_bound(A, 0.0, full(2))
         with pytest.raises(ValueError):
-            radius_lower_bound(A, sys, -1.0, full(2))
+            radius_lower_bound(A, -1.0, full(2))
+
+
+def _sorted_spectrum(B):
+    w = np.linalg.eigvals(B)
+    return w[np.lexsort((w.imag, w.real))]
+
+
+def _loop_sweep(A, sys, cfg):
+    """Reference sweep: one eigensolve per (eigenvalue, angle), in order."""
+    from pseudospec.approx import resolve_pair_and_epsilon
+    from pseudospec.sensitivity import wilkinson
+
+    A = np.asarray(A, dtype=complex)
+    pair, eps = resolve_pair_and_epsilon(sys, cfg)
+    n, K = sys.dim, cfg.angles
+    thetas = 2.0 * np.pi * np.arange(K) / K
+    points, src, ang = [], [], []
+    for i in pair:
+        W = wilkinson(sys, i, cfg.pattern).projected
+        for k, theta in enumerate(thetas):
+            points.append(_sorted_spectrum(A + eps * np.exp(1j * theta) * W))
+            src.append(np.full(n, i))
+            ang.append(np.full(n, k))
+    return np.concatenate(points), np.concatenate(src), np.concatenate(ang)
+
+
+def _loop_random(A, cfg, samples, seed):
+    """Reference baseline: one eigensolve per (sample, angle), in order."""
+    A = np.asarray(A, dtype=complex)
+    n, K = A.shape[0], cfg.angles
+    thetas = 2.0 * np.pi * np.arange(K) / K
+    rng = np.random.default_rng(seed)
+    points, ang, smp = [], [], []
+    for s in range(samples):
+        if cfg.pattern.kind == "full":
+            E = random_rank_one(n, rng)
+        else:
+            E = random_member(cfg.pattern, rng)
+        for k, theta in enumerate(thetas):
+            points.append(_sorted_spectrum(A + cfg.epsilon * np.exp(1j * theta) * E))
+            ang.append(np.full(n, k))
+            smp.append(np.full(n, s))
+    return np.concatenate(points), np.concatenate(ang), np.concatenate(smp)
+
+
+def _family_cases():
+    for family, n in zip(FAMILIES, (5, 6, 6)):
+        A, pattern, _ = generate(family, n, seed=4)
+        for S in (full(n), pattern):
+            yield pytest.param(A, S, id=f"{family}-{S.kind}")
+
+
+class TestBatchedEngine:
+    """The stacked eigensolve reproduces the per-angle loops bit for bit."""
+
+    def _check(self, A, S):
+        sys = eig_pairs(A)
+        sweep = sweep_wilkinson(A, sys, SweepConfig(pattern=S, angles=23))
+        points, src, ang = _loop_sweep(A, sys, SweepConfig(pattern=S, angles=23))
+        assert np.array_equal(sweep.points, points)
+        assert np.array_equal(sweep.source_eigen, src)
+        assert np.array_equal(sweep.angle_index, ang)
+        assert np.array_equal(sweep.sample_index, np.zeros_like(ang))
+
+        cfg = SweepConfig(pattern=S, epsilon=sweep.epsilon, angles=17)
+        base = random_cloud(A, cfg, samples=3, seed=11)
+        points, ang, smp = _loop_random(A, cfg, 3, 11)
+        assert np.array_equal(base.points, points)
+        assert np.array_equal(base.source_eigen, np.full_like(ang, -1))
+        assert np.array_equal(base.angle_index, ang)
+        assert np.array_equal(base.sample_index, smp)
+
+    @pytest.mark.parametrize("A,S", _family_cases())
+    def test_matches_per_angle_loop(self, A, S):
+        self._check(A, S)
+
+    def test_matches_across_chunks(self, monkeypatch):
+        A, pattern, _ = generate("pentadiag_toeplitz", 6, seed=4)
+        # 7 matrices per stacked call: chunk edges fall inside each direction
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 7 * 6 * 6)
+        self._check(A, pattern)
+
+    def test_trajectories_match_per_eigenvalue_loop(self):
+        A, pattern, _ = generate("hamiltonian_random", 6, seed=4)
+        sys = eig_pairs(A)
+        E = np.ones((6, 6), dtype=complex) / 6
+        grid = np.linspace(0.0, 0.1, 9)
+        cloud = first_order_trajectories(sys, E, grid, pattern)
+        expected = []
+        for D in (E, normalized_projection(E, pattern)):
+            for i in range(6):
+                slope = np.vdot(sys.lefts[:, i], D @ sys.rights[:, i]) / sys.overlaps[i]
+                expected.append(sys.eigenvalues[i] + grid * slope)
+        assert np.array_equal(cloud.points, np.concatenate(expected))
 
 
 class TestSubcloudAndGap:
@@ -239,6 +338,26 @@ class TestSubcloudAndGap:
         bad = replace(cloud, points=cloud.points[:-1])
         with pytest.raises(DegenerateSpectrum):
             subcloud(bad, sys, 0)
+
+    @pytest.mark.parametrize("family,n", [("pentadiag_toeplitz", 6), ("hamiltonian_random", 8)])
+    def test_component_match_rows_permute_blocks(self, family, n):
+        A, pattern, _ = generate(family, n, seed=1)
+        sys = eig_pairs(A)
+        cloud = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=30))
+        matched = _component_match(cloud, sys)
+        blocks = cloud.points.reshape(-1, n)
+        assert matched.shape == blocks.shape
+        assert np.array_equal(np.sort(matched, axis=1), np.sort(blocks, axis=1))
+        # reference: one Hungarian match per block and per eigenvalue
+        from scipy.optimize import linear_sum_assignment
+
+        for i in cloud.meta["pair"]:
+            expected = []
+            for block in blocks:
+                cost = np.abs(block[:, None] - sys.eigenvalues[None, :])
+                rows, cols = linear_sum_assignment(cost)
+                expected.append(block[rows[cols == i][0]])
+            assert np.array_equal(subcloud(cloud, sys, i), np.array(expected))
 
 
 class TestCoverage:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudospec import io, toeplitz
-from pseudospec.cli import main
+from pseudospec.cli import STRUCTURE_CHOICES, build_parser, main
 from pseudospec.families import generate
 
 
@@ -52,6 +52,50 @@ class TestIoRoundTrip:
         np.testing.assert_array_equal(loaded.source_eigen, cloud.source_eigen)
         assert loaded.epsilon == cloud.epsilon
         assert header["matrix_sha256"] == "abc123"
+
+
+def _sweep_toeplitz():
+    from pseudospec import SweepConfig, eig_pairs, sweep_wilkinson
+
+    A, pattern, _ = generate("pentadiag_toeplitz", 6, seed=1)
+    return sweep_wilkinson(A, eig_pairs(A), SweepConfig(pattern=pattern, angles=7))
+
+
+def _baseline_hamiltonian():
+    from pseudospec import SweepConfig, random_cloud
+
+    A, pattern, _ = generate("hamiltonian_random", 6, seed=1)
+    return random_cloud(A, SweepConfig(pattern=pattern, epsilon=0.01, angles=5), 3, seed=4)
+
+
+def _trajectory():
+    from pseudospec import eig_pairs, first_order_trajectories
+
+    A, pattern, _ = generate("tridiag_toeplitz", 5, seed=2)
+    E = np.ones((5, 5), dtype=complex) / 5
+    return first_order_trajectories(eig_pairs(A), E, np.linspace(0.0, 0.1, 4), pattern)
+
+
+@pytest.mark.parametrize("make", [_sweep_toeplitz, _baseline_hamiltonian, _trajectory])
+def test_cloud_round_trip_is_lossless(tmp_path, make):
+    cloud = make()
+    path = tmp_path / "c.csv"
+    io.save_cloud(str(path), cloud, "abc123")
+    loaded, _ = io.load_cloud(str(path))
+    for name in ("points", "source_eigen", "angle_index", "sample_index"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(cloud, name))
+    assert loaded.pattern == cloud.pattern
+    assert loaded.meta == cloud.meta
+    assert (loaded.epsilon, loaded.kind, loaded.seed) == (cloud.epsilon, cloud.kind, cloud.seed)
+
+
+@pytest.mark.parametrize("command", ["analyze", "approx", "trajectory"])
+@pytest.mark.parametrize("flag", STRUCTURE_CHOICES)
+def test_structure_flag_accepted(command, flag):
+    extra = {"analyze": [], "approx": ["--out", "c.csv"],
+             "trajectory": ["--eps-max", "0.1", "--steps", "2", "--out", "t.csv"]}
+    args = build_parser().parse_args([command, "m.json", "--structure", flag, *extra[command]])
+    assert args.structure == flag
 
 
 class TestGenerate:

@@ -125,7 +125,7 @@ class TestAbscissaGrid:
         A, pattern, _ = generate("tridiag_toeplitz", 4, seed=1)
         sys = eig_pairs(A)
         eps = 0.1
-        lb = abscissa_lower_bound(A, sys, eps, full(4))
+        lb = abscissa_lower_bound(A, eps, full(4))
         field = grid_field(A, default_window(sys, eps), (300, 300))
         value, unc = abscissa_grid(field, eps)
         assert lb <= value + unc + 1e-12

@@ -4,15 +4,17 @@ import pytest
 from pseudospec import (
     analyze,
     coalescence_estimate,
-    cond_standard,
-    cond_structured,
-    disk_radius,
     eig_pairs,
     full,
     hamiltonian,
+    hankel,
+    kappas,
+    project,
     random_member,
     random_rank_one,
+    symplectic_j,
     toeplitz,
+    toeplitz_matrix,
     tridiag_toeplitz,
     wilkinson,
 )
@@ -27,18 +29,18 @@ class TestCondStandard:
         A = A + A.T
         sys = eig_pairs(A)
         for i in range(5):
-            assert cond_standard(sys, i) == pytest.approx(1.0, abs=1e-10)
+            assert kappas(sys, full(sys.dim))[i] == pytest.approx(1.0, abs=1e-10)
 
     def test_hand_value_sqrt_two(self):
         # A = [[0,1],[0,1]]: for lambda = 0, x = (1,0), y = (1,-1)/sqrt(2)
         sys = eig_pairs(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        assert cond_standard(sys, 0) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert kappas(sys, full(sys.dim))[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_palindromic_for_real_tridiag_toeplitz(self):
         A, _, _ = generate("tridiag_toeplitz", 5, seed=0)
         sys = eig_pairs(A)
-        kappas = np.array([cond_standard(sys, i) for i in range(5)])
-        np.testing.assert_allclose(kappas, kappas[::-1], rtol=1e-8)
+        kappa = kappas(sys, full(5))
+        np.testing.assert_allclose(kappa, kappa[::-1], rtol=1e-8)
 
 
 class TestCondStructured:
@@ -47,16 +49,15 @@ class TestCondStructured:
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         sys = eig_pairs(A)
         for i in range(4):
-            assert cond_structured(sys, i, full(4)) == pytest.approx(
-                cond_standard(sys, i)
-            )
+            overlap = np.vdot(sys.lefts[:, i], sys.rights[:, i])
+            assert kappas(sys, full(4))[i] == pytest.approx(1.0 / abs(overlap))
 
     def test_wilkinson_already_structured(self):
         # A = [[0,1],[1,0]]: x = y = (1,1)/sqrt(2) for lambda = 1, so
         # y x^H = ones/2 is itself Toeplitz and kappa^T = kappa = 1
         sys = eig_pairs(np.array([[0.0, 1.0], [1.0, 0.0]]))
         S = toeplitz(2, {-1, 0, 1})
-        assert cond_structured(sys, 1, S) == pytest.approx(cond_standard(sys, 1), abs=1e-12)
+        assert kappas(sys, S)[1] == pytest.approx(kappas(sys, full(sys.dim))[1], abs=1e-12)
 
     def test_never_exceeds_standard(self):
         for family, n, S in [
@@ -66,15 +67,15 @@ class TestCondStructured:
             A, pattern, _ = generate(family, n, seed=3)
             sys = eig_pairs(A)
             for i in range(n):
-                assert cond_structured(sys, i, S or pattern) <= cond_standard(sys, i) + 1e-12
+                assert kappas(sys, S or pattern)[i] <= kappas(sys, full(sys.dim))[i] + 1e-12
 
     def test_extremal_vs_middle_sensitivity(self):
         A, pattern, _ = generate("tridiag_toeplitz", 5, seed=1)
         sys = eig_pairs(A)
-        kappas = [cond_standard(sys, i) for i in range(5)]
-        kappas_t = [cond_structured(sys, i, pattern) for i in range(5)]
-        assert int(np.argmax(kappas)) == 2
-        assert int(np.argmax(kappas_t)) in (0, 4)
+        kappa = kappas(sys, full(5))
+        kappa_t = kappas(sys, pattern)
+        assert int(np.argmax(kappa)) == 2
+        assert int(np.argmax(kappa_t)) in (0, 4)
 
     def test_hamiltonian_closed_form(self):
         # with Im(y^H J x) = 0, ||(y x^H)|_H||_F^2 = (1 + |y^H J x|^2) / 2
@@ -87,7 +88,79 @@ class TestCondStructured:
         for i in range(8):
             c = np.vdot(normed.lefts[:, i], J @ normed.rights[:, i])
             predicted = np.sqrt((1 + abs(c) ** 2) / 2) / abs(normed.overlaps[i])
-            assert cond_structured(sys, i, pattern) == pytest.approx(predicted, abs=1e-12)
+            assert kappas(sys, pattern)[i] == pytest.approx(predicted, abs=1e-12)
+
+
+def _banded_basis(n, support, antidiagonal):
+    """Real-orthonormal basis of the complex Toeplitz / Hankel subspace:
+    T and iT for each normalized (anti)diagonal T."""
+    for k in sorted(support):
+        T = np.eye(n, k=k) / np.sqrt(n - abs(k))
+        T = T[:, ::-1] if antidiagonal else T
+        yield T
+        yield 1j * T
+
+
+def _hamiltonian_basis(n_half):
+    """Real-orthonormal basis of {Q : QJ Hermitian}: Q = -H J over a basis H
+    of the Hermitian matrices (J is orthogonal, so norms are kept)."""
+    n = 2 * n_half
+    J = symplectic_j(n_half)
+    for j in range(n):
+        for k in range(j, n):
+            E = np.zeros((n, n), dtype=complex)
+            if j == k:
+                E[j, j] = 1.0
+                yield -E @ J
+                continue
+            E[j, k], E[k, j] = 1.0, 1.0
+            yield -(E / np.sqrt(2.0)) @ J
+            E[j, k], E[k, j] = 1j, -1j
+            yield -(E / np.sqrt(2.0)) @ J
+
+
+def _brute_kappa_s(sys, i, basis):
+    """max over unimodular phases of ||(phase * y x^H)|_S||_F / |y^H x|, with
+    the projection norm taken as the real inner products with a basis."""
+    B = np.stack(list(basis))
+    W = np.outer(sys.lefts[:, i], np.conj(sys.rights[:, i]))
+    coeffs = np.einsum("bjk,jk->b", B.conj(), W)
+    phases = np.exp(1j * np.linspace(0.0, np.pi, 3601))
+    norms = np.sqrt(np.sum((phases[:, None] * coeffs[None, :]).real ** 2, axis=1))
+    return norms.max() / abs(np.vdot(sys.lefts[:, i], sys.rights[:, i]))
+
+
+def _kappa_cases():
+    rng = np.random.default_rng(21)
+    A, pattern, _ = generate("tridiag_toeplitz", 5, seed=3)
+    yield pytest.param(A, pattern, _banded_basis(5, pattern.support, False), 0.0, id="toeplitz-real")
+    A, pattern, _ = generate("pentadiag_toeplitz", 6, seed=3)
+    yield pytest.param(A, pattern, _banded_basis(6, pattern.support, False), 0.0, id="toeplitz-complex")
+    for real in (True, False):
+        values = rng.standard_normal(3) + (0 if real else 1j) * rng.standard_normal(3)
+        A = toeplitz_matrix(6, {-1: values[0], 0: values[1], 2: values[2]})[:, ::-1]
+        pattern = hankel(6, {-2, 0, 1}, real=real)
+        basis = _banded_basis(6, pattern.support, True)
+        yield pytest.param(A, pattern, basis, 0.0, id=f"hankel-{'real' if real else 'complex'}")
+    A, pattern, _ = generate("hamiltonian_random", 6, seed=3)
+    yield pytest.param(A, pattern, _hamiltonian_basis(3), 1e-5, id="hamiltonian-real")
+    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    pattern = hamiltonian(3)
+    yield pytest.param(project(M, pattern), pattern, _hamiltonian_basis(3), 1e-5, id="hamiltonian-complex")
+
+
+class TestKappasBruteForce:
+    @pytest.mark.parametrize("A,S,basis,phase_rtol", _kappa_cases())
+    def test_matches_projection_norm(self, A, S, basis, phase_rtol):
+        # Toeplitz/Hankel are complex-linear, so the phase grid is flat and the
+        # match is to rounding; for Hamiltonian the grid brackets the maximum.
+        sys = eig_pairs(A)
+        basis = list(basis)
+        got = kappas(sys, S)
+        for i in range(sys.dim):
+            brute = _brute_kappa_s(sys, i, basis)
+            assert brute * (1.0 - 1e-12) <= got[i] <= brute * (1.0 + phase_rtol + 1e-12)
+        assert np.all(got <= kappas(sys, full(sys.dim)) * (1.0 + 1e-12))
 
 
 class TestWilkinson:
@@ -120,7 +193,7 @@ class TestMaximality:
         A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         sys = eig_pairs(A)
         i = 2
-        kappa = cond_standard(sys, i)
+        kappa = kappas(sys, full(sys.dim))[i]
         x, y, o = sys.rights[:, i], sys.lefts[:, i], sys.overlaps[i]
         for k in range(300):
             E = random_rank_one(5, 10_000 + k)
@@ -133,7 +206,7 @@ class TestMaximality:
         A, pattern, _ = generate(family, n, seed=8)
         sys = eig_pairs(A)
         i = 1
-        kappa_s = cond_structured(sys, i, pattern)
+        kappa_s = kappas(sys, pattern)[i]
         x, y, o = sys.rights[:, i], sys.lefts[:, i], sys.overlaps[i]
         for k in range(300):
             E = random_member(pattern, 20_000 + k)
@@ -167,16 +240,18 @@ class TestFirstOrderLaw:
 
 
 class TestDiskRadius:
+    # the (structured) Wilkinson disk of eigenvalue i has radius kappas[i] * t
     def test_linear_formula(self):
         sys = eig_pairs(np.diag([0.0, 3.0]))
-        assert disk_radius(sys, 0, 0.0, full(2)) == 0.0
-        assert disk_radius(sys, 0, 0.1, full(2)) == pytest.approx(0.1)
+        assert kappas(sys, full(2))[0] * 0.0 == 0.0
+        assert kappas(sys, full(2))[0] * 0.1 == pytest.approx(0.1)
 
     def test_structured_not_larger(self):
         A, pattern, _ = generate("tridiag_toeplitz", 5, seed=4)
         sys = eig_pairs(A)
-        for i in range(5):
-            assert disk_radius(sys, i, 0.2, pattern) <= disk_radius(sys, i, 0.2, full(5)) + 1e-12
+        radii_s = kappas(sys, pattern) * 0.2
+        radii = kappas(sys, full(5)) * 0.2
+        assert np.all(radii_s <= radii + 1e-12)
 
 
 class TestCoalescenceEstimate:
@@ -191,10 +266,10 @@ class TestCoalescenceEstimate:
         A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         sys = eig_pairs(A)
         eps, pair = coalescence_estimate(sys, full(6))
-        kappas = [cond_standard(sys, i) for i in range(6)]
+        kappa = kappas(sys, full(6))
         best = min(
             (
-                abs(sys.eigenvalues[i] - sys.eigenvalues[j]) / (kappas[i] + kappas[j]),
+                abs(sys.eigenvalues[i] - sys.eigenvalues[j]) / (kappa[i] + kappa[j]),
                 (i, j),
             )
             for i in range(6)
@@ -205,7 +280,7 @@ class TestCoalescenceEstimate:
         # tangency identity
         i, j = pair
         assert abs(sys.eigenvalues[i] - sys.eigenvalues[j]) == pytest.approx(
-            (kappas[i] + kappas[j]) * eps, rel=1e-12
+            (kappa[i] + kappa[j]) * eps, rel=1e-12
         )
 
     def test_structured_at_least_unstructured(self):
