@@ -241,6 +241,7 @@ def _component_match(cloud: PointCloud, sys: Eigensystem) -> np.ndarray:
     eigenvalues by minimal total distance; row b, column i holds the point of
     block b assigned to lambda_i.
     """
+    # Lazy: no CLI command calls this, and scipy.optimize costs ~20 MiB and ~0.3 s.
     from scipy.optimize import linear_sum_assignment
 
     n = sys.dim

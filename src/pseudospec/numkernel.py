@@ -1,7 +1,10 @@
 """Dense eigenvalue/eigenvector and singular-value kernels.
 
 Everything downstream (condition numbers, sweeps, grid oracle) consumes the
-matched eigen-triples produced here.  Conventions:
+eigen-triples produced here.  One LAPACK eigensolve returns each eigenvalue
+with its right and left eigenvector, so no pairing of two spectra is needed;
+it runs on the matrix divided by a power of two, which is exact and keeps
+every norm finite.  Conventions:
 
 * eigenvalues sorted lexicographically by (Re, Im);
 * right/left eigenvectors stored as columns, unit 2-norm;
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy.linalg
 
 from .errors import (
     DefectiveInput,
@@ -49,7 +52,7 @@ class Eigensystem:
 
 
 def _validate_square(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
+    A = np.ascontiguousarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 2:
@@ -97,56 +100,51 @@ def _normalized_triples(rights: np.ndarray, lefts: np.ndarray):
 def eig_pairs(A: np.ndarray) -> Eigensystem:
     """Compute the full eigensystem of A with matched left eigenvectors.
 
-    Left eigenvectors are computed as right eigenvectors of A^H and paired to
-    the right eigenvectors by nearest conjugate eigenvalue.  Raises
-    DefectiveInput when the minimal eigenvalue gap falls below
-    ``GAP_TOL_FACTOR * ||A||_F`` and NonConvergence when the residual contract
-    ``||A x - lambda x|| <= TOL_EIG * ||A||_F`` is not met.
+    One LAPACK eigensolve (xGEEV) returns each eigenvalue with its right and
+    left eigenvector.  It runs on B = A / 2^e, 2^e the power of two just
+    above the largest real or imaginary part: exact, and no norm can
+    overflow.  All checks run on B; eigenvalues and ``min_gap`` are scaled
+    back by 2^e.  Raises DefectiveInput when the minimal eigenvalue gap falls
+    below ``GAP_TOL_FACTOR * ||A||_F`` and NonConvergence when a right or
+    left residual exceeds ``TOL_EIG * ||A||_F``.
     """
     A = _validate_square(A)
-    n = A.shape[0]
-    norm_a = np.linalg.norm(A)
+    e = int(np.frexp(np.abs(A.view(float)).max())[1])
+    B = np.ldexp(A.view(float), -e).view(complex)
+    norm_b = np.linalg.norm(B)
 
     try:
-        w, vr = np.linalg.eig(A)
-        wl, vl = np.linalg.eig(A.conj().T)
+        w, vl, vr = scipy.linalg.eig(B, left=True, right=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
 
-    # quantize the real-part key so roundoff cannot flip the order of
-    # eigenvalues with equal real parts (e.g. conjugate pairs)
-    quantum = 1e-10 * max(norm_a, 1e-300)
-    order = np.lexsort((w.real, w.imag, np.round(w.real / quantum)))
-    w = w[order]
-    vr = vr[:, order]
-
     gap = _min_pairwise_gap(w)
-    if gap <= GAP_TOL_FACTOR * max(norm_a, 1e-300):
+    if gap <= GAP_TOL_FACTOR * norm_b:
         raise DefectiveInput(
-            f"minimum eigenvalue gap {gap:.3e} below threshold; "
-            "eigenvalues too close to treat as simple"
+            f"minimum eigenvalue gap {gap / norm_b:.3e} * ||A||_F below "
+            "threshold; eigenvalues too close to treat as simple"
         )
 
-    # A^H y = conj(lambda) y; match left vectors by nearest conjugate eigenvalue.
-    cost = np.abs(np.conj(wl)[None, :] - w[:, None])
-    rows, cols = linear_sum_assignment(cost)
-    rights, lefts, overlaps = _normalized_triples(vr, vl[:, cols[np.argsort(rows)]])
+    # quantize the real-part key so roundoff cannot flip the order of
+    # eigenvalues with equal real parts (e.g. conjugate pairs)
+    order = np.lexsort((w.real, w.imag, np.round(w.real / (1e-10 * norm_b))))
+    w = w[order]
+    rights, lefts, overlaps = _normalized_triples(vr[:, order], vl[:, order])
 
-    res_r = np.linalg.norm(A @ rights - rights * w[None, :], axis=0)
-    res_l = np.linalg.norm(A.conj().T @ lefts - lefts * np.conj(w)[None, :], axis=0)
-    tol = TOL_EIG * max(norm_a, 1e-300)
-    if res_r.max() > tol or res_l.max() > tol:
+    res_r = np.linalg.norm(B @ rights - rights * w[None, :], axis=0)
+    res_l = np.linalg.norm(B.conj().T @ lefts - lefts * np.conj(w)[None, :], axis=0)
+    res = max(res_r.max(), res_l.max())
+    if res > TOL_EIG * norm_b:
         raise NonConvergence(
-            f"eigenvector residual {max(res_r.max(), res_l.max()):.3e} exceeds "
-            f"{tol:.3e}"
+            f"eigenvector residual {res / norm_b:.3e} * ||A||_F exceeds {TOL_EIG:.0e}"
         )
 
     return Eigensystem(
-        eigenvalues=w,
+        eigenvalues=np.ldexp(w.view(float), e).view(complex),
         rights=rights,
         lefts=lefts,
         overlaps=overlaps,
-        min_gap=gap,
+        min_gap=float(np.ldexp(gap, e)),
     )
 
 

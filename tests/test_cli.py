@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudospec
 from pseudospec import io, toeplitz
 from pseudospec.cli import STRUCTURE_CHOICES, build_parser, main
 from pseudospec.families import generate
@@ -215,3 +220,12 @@ class TestDefectiveExit:
         path = tmp_path / "jordan.json"
         io.save_matrix(str(path), np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert run("analyze", path) == 3
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(pseudospec.__file__).parents[1]))
+    code = "import sys, pseudospec.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

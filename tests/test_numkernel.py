@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospec import (
     Eigensystem,
     eig_pairs,
+    full,
     hamiltonian_phase_normalize,
+    kappas,
     sigma_min,
     symplectic_j,
     tridiag_toeplitz,
@@ -15,6 +19,29 @@ from pseudospec.errors import (
     DimensionMismatch,
     ZeroOffdiagonal,
 )
+from pseudospec.families import generate
+
+U = np.finfo(float).eps / 2
+
+# Family matrices on which eig(A) and eig(A^H) solved separately and paired
+# by nearest conjugate eigenvalue missed the residual contract.
+HARD_FAMILY_CASES = (
+    [("tridiag_toeplitz", n, 2) for n in (80, 120)]
+    + [("tridiag_toeplitz", 10, seed) for seed in (141, 192, 229, 287)]
+    + [("pentadiag_toeplitz", 20, seed) for seed in (121, 405, 622, 895, 954)]
+)
+
+
+def assert_residual_contract(A, sys):
+    norm_a = np.linalg.norm(A)
+    for i in range(sys.dim):
+        x = sys.rights[:, i]
+        y = sys.lefts[:, i]
+        lam = sys.eigenvalues[i]
+        assert np.linalg.norm(A @ x - lam * x) <= 1e-10 * norm_a
+        assert np.linalg.norm(A.conj().T @ y - np.conj(lam) * y) <= 1e-10 * norm_a
+        assert abs(np.linalg.norm(x) - 1) < 1e-12
+        assert abs(np.linalg.norm(y) - 1) < 1e-12
 
 
 class TestEigPairs:
@@ -40,16 +67,7 @@ class TestEigPairs:
         rng = np.random.default_rng(11)
         for _ in range(5):
             A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-            sys = eig_pairs(A)
-            norm_a = np.linalg.norm(A)
-            for i in range(7):
-                x = sys.rights[:, i]
-                y = sys.lefts[:, i]
-                lam = sys.eigenvalues[i]
-                assert np.linalg.norm(A @ x - lam * x) <= 1e-10 * norm_a
-                assert np.linalg.norm(A.conj().T @ y - np.conj(lam) * y) <= 1e-10 * norm_a
-                assert abs(np.linalg.norm(x) - 1) < 1e-12
-                assert abs(np.linalg.norm(y) - 1) < 1e-12
+            assert_residual_contract(A, eig_pairs(A))
 
     def test_overlap_positivity(self):
         rng = np.random.default_rng(3)
@@ -87,6 +105,45 @@ class TestEigPairs:
             np.testing.assert_allclose(
                 np.abs(computed.overlaps), np.abs(reference.overlaps), atol=1e-8
             )
+
+    @pytest.mark.parametrize("family,n,seed", HARD_FAMILY_CASES)
+    def test_strongly_nonnormal_family_matrices(self, family, n, seed):
+        A, _, params = generate(family, n, seed)
+        sys = eig_pairs(A)
+        assert_residual_contract(A, sys)
+        if family == "tridiag_toeplitz":
+            ref = tridiag_toeplitz_reference(
+                n, params["sub"], params["diag"], params["super"]
+            )
+            bound = U * np.linalg.norm(A) / np.abs(ref.overlaps)
+            assert np.all(np.abs(sys.eigenvalues - ref.eigenvalues) <= bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        k=st.integers(-600, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling_is_exact(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        base = eig_pairs(A)
+        scaled = eig_pairs(2.0**k * A)
+        assert np.array_equal(scaled.eigenvalues, base.eigenvalues * 2.0**k)
+        assert scaled.min_gap == base.min_gap * 2.0**k
+        assert np.array_equal(scaled.rights, base.rights)
+        assert np.array_equal(scaled.lefts, base.lefts)
+        assert np.array_equal(scaled.overlaps, base.overlaps)
+
+    def test_extreme_scaling_keeps_kappas(self):
+        A, S, _ = generate("hamiltonian_random", 8, 2)
+        base = eig_pairs(A)
+        for factor in (1e200, 1e-200):
+            scaled = eig_pairs(factor * A)
+            for pattern in (full(8), S):
+                np.testing.assert_allclose(
+                    kappas(scaled, pattern), kappas(base, pattern), rtol=1e-12
+                )
 
 
 class TestTridiagReference:
