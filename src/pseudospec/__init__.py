@@ -34,7 +34,6 @@ from .oracle import (
 )
 from .sensitivity import (
     SensitivityReport,
-    WilkinsonPerturbation,
     analyze,
     coalescence_estimate,
     kappas,

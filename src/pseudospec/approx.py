@@ -82,7 +82,7 @@ def resolve_pair_and_epsilon(sys: Eigensystem, cfg: SweepConfig):
     eps_est, pair_est = coalescence_estimate(sys, cfg.pattern)
     pair = cfg.pair_override if cfg.pair_override is not None else pair_est
     eps = cfg.epsilon if cfg.epsilon is not None else eps_est
-    if len(pair) != 2 or pair[0] == pair[1]:
+    if len(pair) != 2 or pair[0] == pair[1] or not all(0 <= i < sys.dim for i in pair):
         raise DegenerateSpectrum(f"invalid eigenvalue pair {pair}")
     return tuple(int(i) for i in pair), float(eps)
 
@@ -124,7 +124,7 @@ def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointC
     """
     A = np.asarray(A, dtype=complex)
     pair, eps = resolve_pair_and_epsilon(sys, cfg)
-    directions = [wilkinson(sys, i, cfg.pattern).projected for i in pair]
+    directions = [wilkinson(sys, i, cfg.pattern) for i in pair]
     points, d_idx, k_idx = _perturbed_spectra(A, directions, _unit_circle(eps, cfg.angles))
     return PointCloud(
         points=points,
@@ -187,6 +187,8 @@ def first_order_trajectories(
     1 for the projection.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
+    if eps_grid.size == 0 or not np.all(np.isfinite(eps_grid) & (eps_grid >= 0)):
+        raise ValueError("eps grid must be non-empty, finite and non-negative")
     E = np.asarray(E, dtype=complex)
     directions = [E]
     if S.kind != FULL:
@@ -204,7 +206,7 @@ def first_order_trajectories(
         source_eigen=np.tile(np.repeat(np.arange(n), m), V),
         angle_index=np.repeat(np.arange(V), n * m),
         sample_index=np.tile(np.arange(m), V * n),
-        epsilon=float(eps_grid.max(initial=0.0)),
+        epsilon=float(eps_grid.max()),
         pattern=S,
         kind=TRAJECTORY,
         meta={"steps": int(m)},
@@ -212,13 +214,12 @@ def first_order_trajectories(
 
 
 def _all_ones_spectrum(A: np.ndarray, epsilon: float, S: StructurePattern) -> np.ndarray:
-    """Spectrum of A + eps * E for the unit-norm all-ones direction E,
-    projected onto S when structured."""
+    """Spectrum of A + eps * E for E the normalized projection of the
+    all-ones matrix onto S."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     A = np.asarray(A, dtype=complex)
-    ones = np.ones(A.shape, dtype=complex)
-    E = ones / A.shape[0] if S.kind == FULL else normalized_projection(ones, S)
+    E = normalized_projection(np.ones(A.shape), S)
     return _perturbed_spectra(A, [E], np.array([float(epsilon)]))[0]
 
 

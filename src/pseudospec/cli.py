@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, analyze, approx, oracle, trajectory.  Exit codes:
-0 success, 2 validation error, 3 numeric failure.
+0 success, 3 for a :class:`NumericFailure`, 2 for any other library error,
+OSError or ValueError (bad input).
 """
 
 from __future__ import annotations
@@ -14,18 +15,7 @@ import numpy as np
 
 from . import approx as approx_mod
 from . import families, io, oracle, sensitivity, structures, svg
-from .errors import (
-    BadParams,
-    DefectiveInput,
-    DegenerateSpectrum,
-    EmptyLevelSet,
-    NonConvergence,
-    OutOfBounds,
-    PseudospecError,
-    UnknownFamily,
-    VanishingOverlap,
-    ZeroProjection,
-)
+from .errors import BadParams, EmptyLevelSet, NumericFailure, PseudospecError
 from .numkernel import eig_pairs
 
 EXIT_VALIDATION = 2
@@ -33,39 +23,22 @@ EXIT_NUMERIC = 3
 
 STRUCTURE_CHOICES = ("auto", "full", "toeplitz", "hankel", "hamiltonian")
 
-_VALIDATION_ERRORS = (BadParams, UnknownFamily, OutOfBounds)
-_NUMERIC_ERRORS = (
-    NonConvergence,
-    DefectiveInput,
-    VanishingOverlap,
-    ZeroProjection,
-    DegenerateSpectrum,
-    EmptyLevelSet,
-)
 
-
-def _resolve_pattern(flag: str, declared, dim: int, A):
+def _resolve_pattern(flag: str, declared, A):
     """Map the --structure flag to a pattern, honoring file metadata."""
-    if flag == "auto":
-        return declared if declared is not None else structures.full(dim)
-    if flag == "full":
+    dim = A.shape[0]
+    if flag == "full" or (flag == "auto" and declared is None):
         return structures.full(dim)
+    if declared is not None and flag in ("auto", declared.kind):
+        return declared
+    real = bool(np.all(A.imag == 0))
     if flag == "toeplitz":
-        if declared is not None and declared.kind == structures.TOEPLITZ:
-            return declared
-        support = structures.toeplitz_support_of(A)
-        return structures.toeplitz(dim, support, real=bool(np.all(A.imag == 0)))
-    if flag == "hamiltonian":
-        if declared is not None and declared.kind == structures.HAMILTONIAN:
-            return declared
-        if dim % 2 != 0:
-            raise BadParams("hamiltonian structure needs an even dimension")
-        return structures.hamiltonian(dim // 2, real=bool(np.all(A.imag == 0)))
+        return structures.toeplitz(dim, structures.toeplitz_support_of(A), real=real)
     if flag == "hankel":
-        if declared is not None and declared.kind == structures.HANKEL:
-            return declared
         raise BadParams("hankel structure requires support metadata in the matrix file")
-    raise BadParams(f"unknown structure flag {flag!r}")
+    if dim % 2 != 0:
+        raise BadParams("hamiltonian structure needs an even dimension")
+    return structures.hamiltonian(dim // 2, real=real)
 
 
 def cmd_generate(args) -> int:
@@ -78,7 +51,7 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     A, declared = io.load_matrix(args.matrix)
-    pattern = _resolve_pattern(args.structure, declared, A.shape[0], A)
+    pattern = _resolve_pattern(args.structure, declared, A)
     sys_ = eig_pairs(A)
     report = sensitivity.analyze(sys_, pattern)
 
@@ -114,7 +87,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_approx(args) -> int:
     A, declared = io.load_matrix(args.matrix)
-    pattern = _resolve_pattern(args.structure, declared, A.shape[0], A)
+    pattern = _resolve_pattern(args.structure, declared, A)
     sys_ = eig_pairs(A)
     pair = None
     if args.pair:
@@ -194,7 +167,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_trajectory(args) -> int:
     A, declared = io.load_matrix(args.matrix)
-    pattern = _resolve_pattern(args.structure, declared, A.shape[0], A)
+    pattern = _resolve_pattern(args.structure, declared, A)
     sys_ = eig_pairs(A)
     n = A.shape[0]
     E = np.ones((n, n), dtype=complex) / n
@@ -263,18 +236,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except PseudospecError as exc:
+    except (PseudospecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -58,17 +58,25 @@ def save_matrix(path: str, A, pattern=None, generator=None) -> None:
 def load_matrix(path: str):
     """Load a matrix file; returns ``(A, pattern_or_None)``.
 
-    Declared structure metadata is validated against the entries on load.
+    The document must be an object with an integer ``n`` and a list of
+    n * n finite ``[re, im]`` entries; declared structure metadata is
+    validated against the entries on load.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    n = int(doc["n"])
-    entries = doc["entries"]
+    if not isinstance(doc, dict):
+        raise BadParams("a matrix file must hold a JSON object")
+    n, entries = doc.get("n"), doc.get("entries")
+    if not isinstance(n, int) or not isinstance(entries, list):
+        raise BadParams("a matrix file needs an integer 'n' and a list of 'entries'")
     if len(entries) != n * n:
         raise BadParams(f"expected {n * n} entries, found {len(entries)}")
-    flat = np.array(
-        [float(re) + 1j * float(im) for re, im in entries], dtype=complex
-    )
+    try:
+        flat = np.array([float(re) + 1j * float(im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"matrix entries must be [re, im] number pairs ({exc})") from exc
+    if not np.all(np.isfinite(flat)):
+        raise BadParams("matrix entries must be finite")
     A = flat.reshape(n, n)
     pattern = None
     if "structure" in doc:

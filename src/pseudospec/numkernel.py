@@ -122,7 +122,8 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     if gap <= GAP_TOL_FACTOR * norm_b:
         raise DefectiveInput(
             f"minimum eigenvalue gap {gap / norm_b:.3e} * ||A||_F below "
-            "threshold; eigenvalues too close to treat as simple"
+            "threshold: the matrix is (nearly) defective, or its eigenvalues are "
+            "too ill-conditioned to separate in double precision"
         )
 
     # quantize the real-part key so roundoff cannot flip the order of

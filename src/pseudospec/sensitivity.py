@@ -36,20 +36,6 @@ PAIR_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class WilkinsonPerturbation:
-    """Unit-norm worst-case perturbation direction for one eigenvalue.
-
-    ``base`` is y x^H (rank one, unit Frobenius norm); ``projected`` is its
-    normalized structure projection (equal to ``base`` for the full pattern).
-    """
-
-    base: np.ndarray
-    projected: np.ndarray
-    eigen_index: int
-    pattern: StructurePattern
-
-
-@dataclass(frozen=True)
 class SensitivityReport:
     kappas: np.ndarray
     kappas_structured: np.ndarray
@@ -97,17 +83,13 @@ def kappas(sys: Eigensystem, S: StructurePattern) -> np.ndarray:
     return np.array(norms) / moduli
 
 
-def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> WilkinsonPerturbation:
-    """Wilkinson perturbation y x^H and its normalized structure projection."""
-    S = _complex_pattern(S)
+def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> np.ndarray:
+    """Unit Wilkinson direction for eigenvalue i: the normalized projection
+    of y_i x_i^H onto S (y_i x_i^H itself for the full pattern)."""
     sys = _rephased(sys, S)
     _check_overlaps(sys, [i])
     base = np.outer(sys.lefts[:, i], np.conj(sys.rights[:, i]))
-    if S.kind == FULL:
-        projected = base / np.linalg.norm(base)
-    else:
-        projected = normalized_projection(base, S)
-    return WilkinsonPerturbation(base=base, projected=projected, eigen_index=i, pattern=S)
+    return normalized_projection(base, _complex_pattern(S))
 
 
 def _closest_pair(w: np.ndarray, kappa: np.ndarray):
@@ -155,12 +137,8 @@ def analyze(sys: Eigensystem, S: StructurePattern) -> SensitivityReport:
     """Full per-eigenvalue sensitivity report for one structure pattern."""
     kappa = kappas(sys, full(S.dim))
     eps, pair = _closest_pair(sys.eigenvalues, kappa)
-    if S.kind == FULL:
-        kappa_s = kappa.copy()
-        eps_s, pair_s = eps, pair
-    else:
-        kappa_s = kappas(sys, S)
-        eps_s, pair_s = _closest_pair(sys.eigenvalues, kappa_s)
+    kappa_s = kappas(sys, S)
+    eps_s, pair_s = _closest_pair(sys.eigenvalues, kappa_s)
     return SensitivityReport(
         kappas=kappa,
         kappas_structured=kappa_s,

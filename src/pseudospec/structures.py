@@ -108,23 +108,20 @@ def _project_banded(M: np.ndarray, support, antidiagonal: bool) -> np.ndarray:
 
 
 def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
-    """Frobenius-nearest member of S.
+    """Frobenius-nearest member of S, always a complex array.
 
-    Toeplitz/Hankel: each supported (anti)diagonal is replaced by its
-    arithmetic mean, everything else is zeroed.  Hamiltonian:
-    (M + J M^H J) / 2, restricted to the real part first when the pattern is
-    real.  Full: M itself.
+    A real pattern first restricts M to its real part.  Toeplitz/Hankel:
+    each supported (anti)diagonal is replaced by its arithmetic mean,
+    everything else is zeroed.  Hamiltonian: (M + J M^H J) / 2.  Full: the
+    identity.
     """
     M = _check_dim(M, S)
-    if S.kind == FULL:
-        return M.real.copy() if S.real else M.copy()
-    if S.kind in (TOEPLITZ, HANKEL):
-        if S.real:
-            M = M.real.astype(complex)
-        return _project_banded(M, S.support, antidiagonal=(S.kind == HANKEL))
-    # Hamiltonian
     if S.real:
         M = M.real.astype(complex)
+    if S.kind == FULL:
+        return M.copy()
+    if S.kind in (TOEPLITZ, HANKEL):
+        return _project_banded(M, S.support, antidiagonal=(S.kind == HANKEL))
     J = symplectic_j(S.n_half)
     return 0.5 * (M + J @ M.conj().T @ J)
 
@@ -160,11 +157,7 @@ def random_member(S: StructurePattern, seed) -> np.ndarray:
         G = rng.standard_normal((n, n)).astype(complex)
     else:
         G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    P = project(G, S)
-    norm = np.linalg.norm(P)
-    if norm <= NORM_RTOL * max(np.linalg.norm(G), 1e-300):
-        raise ZeroProjection("random draw projected to zero")
-    return P / norm
+    return normalized_projection(G, S)
 
 
 def random_rank_one(dim: int, seed) -> np.ndarray:

@@ -127,7 +127,7 @@ def test_wilkinson_maximality():
                     (full(n), kappas(sys, full(sys.dim))[i]),
                     (pattern, kappas(sys, pattern)[i]),
                 ):
-                    W = wilkinson(sys, i, S).projected
+                    W = wilkinson(sys, i, S)
                     attained = abs(
                         np.vdot(sys.lefts[:, i], W @ sys.rights[:, i])
                     ) / abs(sys.overlaps[i])
@@ -191,7 +191,7 @@ def test_hamiltonian_symmetry():
         pair_err = np.abs(mirrored[:, None] - w[None, :]).min(axis=1).max()
         ok &= pair_err <= 1e-8
         for i in range(8):
-            s = np.linalg.svd(wilkinson(sys, i, pattern).projected, compute_uv=False)
+            s = np.linalg.svd(wilkinson(sys, i, pattern), compute_uv=False)
             ok &= s[2] <= 1e-8
         cloud = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=400))
         z = cloud.points

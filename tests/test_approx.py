@@ -74,9 +74,10 @@ class TestSweepWilkinson:
     def test_invalid_pair_rejected(self):
         A = np.diag([0.0, 3.0])
         sys = eig_pairs(A)
-        cfg = SweepConfig(pattern=full(2), epsilon=0.1, pair_override=(1, 1))
-        with pytest.raises(DegenerateSpectrum):
-            sweep_wilkinson(A, sys, cfg)
+        for pair in [(1, 1), (0, 2), (-1, 0)]:
+            cfg = SweepConfig(pattern=full(2), epsilon=0.1, pair_override=pair)
+            with pytest.raises(DegenerateSpectrum):
+                sweep_wilkinson(A, sys, cfg)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -144,6 +145,12 @@ class TestTrajectories:
         traj = first_order_trajectories(sys, E, np.linspace(0, 0.1, 5), pattern)
         assert set(np.unique(traj.angle_index)) == {0, 1}
         assert len(traj) == 2 * 4 * 5
+
+    @pytest.mark.parametrize("grid", [[], [0.0, -0.1], [0.0, np.nan], [0.0, np.inf]])
+    def test_bad_eps_grid_rejected(self, grid):
+        sys = eig_pairs(np.diag([0.0, 2.0]))
+        with pytest.raises(ValueError):
+            first_order_trajectories(sys, np.ones((2, 2)) / 2, grid, full(2))
 
     def test_matches_true_eigenvalue_motion(self):
         rng = np.random.default_rng(21)
@@ -213,7 +220,7 @@ def _loop_sweep(A, sys, cfg):
     thetas = 2.0 * np.pi * np.arange(K) / K
     points, src, ang = [], [], []
     for i in pair:
-        W = wilkinson(sys, i, cfg.pattern).projected
+        W = wilkinson(sys, i, cfg.pattern)
         for k, theta in enumerate(thetas):
             points.append(_sorted_spectrum(A + eps * np.exp(1j * theta) * W))
             src.append(np.full(n, i))

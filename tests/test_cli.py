@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import pseudospec
-from pseudospec import io, toeplitz
-from pseudospec.cli import STRUCTURE_CHOICES, build_parser, main
+from pseudospec import errors, families, full, hamiltonian, hankel, io, toeplitz
+from pseudospec.cli import STRUCTURE_CHOICES, _resolve_pattern, build_parser, main
+from pseudospec.errors import BadParams
 from pseudospec.families import generate
+from pseudospec.numkernel import toeplitz_matrix
 
 
 def run(*argv):
@@ -220,6 +222,101 @@ class TestDefectiveExit:
         path = tmp_path / "jordan.json"
         io.save_matrix(str(path), np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert run("analyze", path) == 3
+
+
+ERROR_CLASSES = [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.PseudospecError)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_follows_error_class(cls, monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise cls("boom")
+
+    monkeypatch.setattr(families, "generate", fail)
+    code = run("generate", "--family", "tridiag_toeplitz", "--n", "5",
+               "--seed", "0", "--out", tmp_path / "m.json")
+    err = capsys.readouterr().err
+    if issubclass(cls, errors.NumericFailure):
+        assert (code, err) == (3, "numeric failure: boom\n")
+    else:
+        assert (code, err) == (2, "error: boom\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("declared", [None, toeplitz(2, {-1, 0, 1})], ids=["none", "toeplitz"])
+def test_non_finite_entries_exit_2(tmp_path, capsys, value, declared):
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), np.eye(2), declared)
+    doc = json.loads(path.read_text())
+    doc["entries"][0][0] = value
+    path.write_text(json.dumps(doc))
+    assert run("analyze", path) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc", [
+    [["1", "0"]],
+    {"entries": [["1", "0"]] * 4},
+    {"n": 2},
+    {"n": "2", "entries": [["1", "0"]] * 4},
+    {"n": 2, "entries": 4},
+    {"n": 2, "entries": [["1", "0"], ["0", "0"], ["0"], ["1", "0"]]},
+    {"n": 2, "entries": [["1", "0"], ["0", "0"], 0, ["1", "0"]]},
+    {"n": 2, "entries": [["1", "0"], ["0", "0"], [None, "0"], ["1", "0"]]},
+], ids=["not-object", "no-n", "no-entries", "n-not-int", "entries-not-list",
+        "short-entry", "scalar-entry", "null-part"])
+def test_malformed_matrix_file_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run("analyze", path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("eps_max,steps", [("0.1", "0"), ("-1", "5"), ("nan", "5")])
+def test_bad_trajectory_grid_exit_2(matrix_file, tmp_path, eps_max, steps):
+    out = tmp_path / "traj.csv"
+    assert run("trajectory", matrix_file, "--eps-max", eps_max,
+               "--steps", steps, "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pair", ["0,99", "-1,0"])
+def test_bad_pair_exit_3(matrix_file, tmp_path, capsys, pair):
+    assert run("approx", matrix_file, f"--pair={pair}", "--out", tmp_path / "c.csv") == 3
+    assert capsys.readouterr().err.startswith("numeric failure: invalid eigenvalue pair")
+
+
+_A4 = toeplitz_matrix(4, {-1: 2.0, 0: 1.0, 1: 0.5})
+_T, _H, _K = toeplitz(4, {-2, -1, 0, 1, 2}), hamiltonian(2), hankel(4, {0, 1})
+_T_INFERRED, _H_INFERRED = toeplitz(4, {-1, 0, 1}, real=True), hamiltonian(2, real=True)
+_DECLARED = {"none": None, "toeplitz": _T, "hamiltonian": _H, "hankel": _K}
+# flag -> expected pattern (or error) for declared none / toeplitz / hamiltonian / hankel
+_RESOLVE_TABLE = {
+    "auto": (full(4), _T, _H, _K),
+    "full": (full(4), full(4), full(4), full(4)),
+    "toeplitz": (_T_INFERRED, _T, _T_INFERRED, _T_INFERRED),
+    "hankel": (BadParams, BadParams, BadParams, _K),
+    "hamiltonian": (_H_INFERRED, _H_INFERRED, _H, _H_INFERRED),
+}
+
+
+@pytest.mark.parametrize("column,declared", enumerate(_DECLARED), ids=list(_DECLARED))
+@pytest.mark.parametrize("flag", STRUCTURE_CHOICES)
+def test_resolve_pattern_table(flag, column, declared):
+    expected = _RESOLVE_TABLE[flag][column]
+    if expected is BadParams:
+        with pytest.raises(BadParams):
+            _resolve_pattern(flag, _DECLARED[declared], _A4)
+    else:
+        assert _resolve_pattern(flag, _DECLARED[declared], _A4) == expected
+
+
+def test_resolve_pattern_odd_hamiltonian_rejected():
+    with pytest.raises(BadParams):
+        _resolve_pattern("hamiltonian", None, np.eye(3, dtype=complex))
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudospec import (
+    StructurePattern,
     full,
     hamiltonian,
     hankel,
@@ -125,6 +126,12 @@ class TestProject:
             atol=1e-12,
         )
         assert np.linalg.norm(project(M, S)) <= np.linalg.norm(M) + 1e-12
+
+    @pytest.mark.parametrize("S", [*ALL_PATTERNS, StructurePattern("full", 4, real=True)], ids=str)
+    def test_returns_complex_array(self, S):
+        for M in (RNG.standard_normal((S.dim, S.dim)), random_matrix(S.dim)):
+            P = project(M, S)
+            assert P.dtype == complex and P.shape == (S.dim, S.dim)
 
     def test_complex_linearity_toeplitz_hankel_full(self):
         for S in (toeplitz(5, {-1, 0, 2}), hankel(5, {0, 1}), full(5)):
