@@ -47,6 +47,7 @@ from .structures import (
     is_member,
     normalized_projection,
     project,
+    projection_norms,
     random_member,
     random_rank_one,
     toeplitz,

@@ -95,7 +95,7 @@ def _perturbed_spectra(A: np.ndarray, directions, scales: np.ndarray):
     sorted by (Re, Im).  Returns the points and, parallel to them, the
     direction index and the scale index of each point.
     """
-    D = np.asarray(directions)
+    D = np.asarray(directions, dtype=complex)
     n = A.shape[0]
     m, K = D.shape[0], scales.shape[0]
     d_idx = np.repeat(np.arange(m), K)
@@ -104,7 +104,11 @@ def _perturbed_spectra(A: np.ndarray, directions, scales: np.ndarray):
     chunk = max(1, numkernel.STACK_ENTRIES // (n * n))
     for start in range(0, m * K, chunk):
         rows = slice(start, start + chunk)
-        stack = A + scales[k_idx[rows], None, None] * D[d_idx[rows]]
+        # One buffer per chunk: gather, scale in place, add A.  The scale
+        # stays the first factor, so each product rounds exactly as c * D.
+        stack = D[d_idx[rows]]
+        np.multiply(scales[k_idx[rows], None, None], stack, out=stack)
+        stack += A
         spectra[rows] = np.linalg.eigvals(stack)
     order = np.lexsort((spectra.imag, spectra.real))
     points = np.take_along_axis(spectra, order, axis=1).ravel()

@@ -8,6 +8,7 @@ OSError or ValueError (bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -178,7 +179,13 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    It holds no command functions: :func:`main` looks ``cmd_<command>`` up
+    on this module when it runs, so a replaced ``cmd_*`` is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="pseudospec",
         description="Approximate (structured) pseudospectra via Wilkinson perturbations",
@@ -190,13 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="condition numbers and coalescence estimates")
     p.add_argument("matrix")
     p.add_argument("--structure", default="auto", choices=STRUCTURE_CHOICES)
     p.add_argument("--json-out", default=None)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("approx", help="Wilkinson sweep (and random baseline)")
     p.add_argument("matrix")
@@ -208,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
-    p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("oracle", help="sigma_min grid and cloud inclusion checks")
     p.add_argument("matrix")
@@ -218,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", default=None, help="cloud CSV to verify")
     p.add_argument("--slack", type=float, default=1e-8)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("trajectory", help="first-order eigenvalue trajectories")
     p.add_argument("matrix")
@@ -226,16 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--structure", default="auto", choices=STRUCTURE_CHOICES)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_trajectory)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,13 +1,15 @@
 """File formats: matrix JSON, cloud CSV, grid CSV.
 
 All floats are serialized with 17 significant digits so round-trips are
-lossless and outputs are byte-deterministic.  Writes go through a temporary
-file followed by an atomic rename.
+lossless and outputs are byte-deterministic.  Table rows are formatted in
+bulk by :func:`format_rows` and read back with numpy.  Writes go through a
+temporary file followed by an atomic rename.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -20,8 +22,27 @@ from .families import pattern_from_dict, pattern_to_dict
 from .structures import StructurePattern, is_member
 
 
+# Rows per % operation in format_rows: bounds the Python floats alive at once.
+FORMAT_CHUNK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def format_rows(fmt: str, *columns) -> str:
+    """Parallel columns formatted row by row with the %-template ``fmt``.
+
+    One ``%`` operation per chunk of ``FORMAT_CHUNK_ROWS`` rows, not one
+    format call per value; ``%.17g`` writes the same text as
+    ``format(x, ".17g")``.
+    """
+    parts = []
+    for start in range(0, len(columns[0]), FORMAT_CHUNK_ROWS):
+        chunk = [c[start : start + FORMAT_CHUNK_ROWS].tolist() for c in columns]
+        values = tuple(itertools.chain.from_iterable(zip(*chunk)))
+        parts.append((fmt * len(chunk[0])) % values)
+    return "".join(parts)
 
 
 def atomic_write(path: str, data: str) -> None:
@@ -38,17 +59,23 @@ def atomic_write(path: str, data: str) -> None:
 
 
 def matrix_to_json(A: np.ndarray, pattern=None, generator: dict | None = None) -> str:
+    """The text of ``json.dumps(doc, indent=1, sort_keys=True)`` for a doc
+    whose ``entries`` are ``[re, im]`` pairs of 17-digit strings.
+
+    ``entries`` sorts first among the keys, so its block is formatted in
+    bulk and put in front of the dump of the other keys.
+    """
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    doc = {
-        "n": n,
-        "entries": [[_fmt(v.real), _fmt(v.imag)] for v in A.ravel()],
-    }
+    doc = {"n": A.shape[0]}
     if pattern is not None:
         doc["structure"] = pattern_to_dict(pattern)
     if generator is not None:
         doc["generator"] = generator
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    rest = json.dumps(doc, indent=1, sort_keys=True)
+    flat = A.ravel()
+    rows = format_rows(',\n  [\n   "%.17g",\n   "%.17g"\n  ]', flat.real, flat.imag)
+    entries = f"[\n{rows[2:]}\n ]" if rows else "[]"
+    return f'{{\n "entries": {entries},\n{rest[2:]}\n'
 
 
 def save_matrix(path: str, A, pattern=None, generator=None) -> None:
@@ -72,20 +99,42 @@ def load_matrix(path: str):
     if len(entries) != n * n:
         raise BadParams(f"expected {n * n} entries, found {len(entries)}")
     try:
-        flat = np.array([float(re) + 1j * float(im) for re, im in entries], dtype=complex)
+        parts = np.array(entries, dtype=float).reshape(-1, 2)
     except (TypeError, ValueError) as exc:
         raise BadParams(f"matrix entries must be [re, im] number pairs ({exc})") from exc
-    if not np.all(np.isfinite(flat)):
+    if parts.shape[0] != n * n:
+        raise BadParams("matrix entries must be [re, im] number pairs")
+    if not np.all(np.isfinite(parts)):
         raise BadParams("matrix entries must be finite")
-    A = flat.reshape(n, n)
+    A = parts.view(complex).reshape(n, n)
     pattern = None
     if "structure" in doc:
-        pattern = pattern_from_dict(doc["structure"], n)
+        pattern = pattern_from_dict(_checked_structure(doc["structure"]), n)
         if not is_member(A, pattern):
             raise BadParams(
                 f"matrix does not satisfy its declared {pattern.kind} structure"
             )
     return A, pattern
+
+
+def _checked_structure(d):
+    """A structure object from a file, type-checked before
+    :func:`pattern_from_dict` reads it."""
+    support = d.get("support", []) if isinstance(d, dict) else None
+    if not (
+        isinstance(d, dict)
+        and isinstance(d.get("kind"), str)
+        and isinstance(support, list)
+        and all(isinstance(k, int) for k in support)
+        and isinstance(d.get("n_half", 0), int)
+        and isinstance(d.get("real", False), bool)
+    ):
+        raise BadParams(
+            "'structure' must be an object with a string 'kind' and, where "
+            "given, a list of integers 'support', an integer 'n_half' and a "
+            "boolean 'real'"
+        )
+    return d
 
 
 def matrix_hash(path: str) -> str:
@@ -96,6 +145,10 @@ def matrix_hash(path: str) -> str:
 # Cloud header keys after the fixed lines, with JSON values: the pattern
 # (dim, real, support, n_half) and the meta entries without a fixed line.
 _CLOUD_KEYS = ("dim", "real", "support", "n_half", "pair", "steps")
+_CLOUD_ROW = np.dtype([
+    ("re", float), ("im", float), ("source_eigen", int), ("angle_index", int),
+    ("sample_index", int),
+])
 
 
 def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
@@ -111,11 +164,15 @@ def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
         *(f"# {k}={json.dumps(extra[k])}" for k in _CLOUD_KEYS if k in extra),
         "re,im,source_eigen,angle_index,sample_index",
     ]
-    for z, e, k, s in zip(
-        cloud.points, cloud.source_eigen, cloud.angle_index, cloud.sample_index
-    ):
-        lines.append(f"{_fmt(z.real)},{_fmt(z.imag)},{int(e)},{int(k)},{int(s)}")
-    return "\n".join(lines) + "\n"
+    rows = format_rows(
+        "%.17g,%.17g,%d,%d,%d\n",
+        cloud.points.real,
+        cloud.points.imag,
+        cloud.source_eigen,
+        cloud.angle_index,
+        cloud.sample_index,
+    )
+    return "\n".join(lines) + "\n" + rows
 
 
 def save_cloud(path: str, cloud: PointCloud, matrix_sha: str) -> None:
@@ -124,31 +181,29 @@ def save_cloud(path: str, cloud: PointCloud, matrix_sha: str) -> None:
 
 def load_cloud(path: str, dim_hint: int = 0):
     """Read a cloud CSV; returns ``(PointCloud, header_dict)``."""
-    header = {}
-    points, src, ang, smp = [], [], [], []
+    header, skip = {}, 0
+    rows = np.empty(0, dtype=_CLOUD_ROW)
     with open(path) as fh:
+        # '#' header lines and the column names come first, then the rows.
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 header[key] = value
-                continue
-            if line.startswith("re,"):
-                continue
-            re_s, im_s, e_s, k_s, s_s = line.split(",")
-            points.append(float(re_s) + 1j * float(im_s))
-            src.append(int(e_s))
-            ang.append(int(k_s))
-            smp.append(int(s_s))
+            elif line and not line.startswith("re,"):
+                fh.seek(0)
+                rows = np.loadtxt(fh, dtype=_CLOUD_ROW, delimiter=",", skiprows=skip, ndmin=1)
+                break
+            skip += 1
+    points = np.empty(rows.shape, dtype=complex)
+    points.real, points.imag = rows["re"], rows["im"]
     kind = header.get("kind", "wilkinson_sweep")
     pattern, meta = _pattern_and_meta(header, dim_hint)
     cloud = PointCloud(
-        points=np.array(points, dtype=complex),
-        source_eigen=np.array(src, dtype=int),
-        angle_index=np.array(ang, dtype=int),
-        sample_index=np.array(smp, dtype=int),
+        points=points,
+        source_eigen=rows["source_eigen"],
+        angle_index=rows["angle_index"],
+        sample_index=rows["sample_index"],
         epsilon=float(header.get("epsilon", "0") or 0),
         pattern=pattern,
         kind=kind,
@@ -164,7 +219,8 @@ def _pattern_and_meta(header: dict, dim_hint: int):
     extra = {k: json.loads(header[k]) for k in _CLOUD_KEYS if k in header}
     if "dim" not in extra:
         return StructurePattern("full", max(dim_hint, 2)), {}
-    pattern = pattern_from_dict({"kind": header.get("pattern", "full"), **extra}, extra["dim"])
+    structure = _checked_structure({"kind": header.get("pattern", "full"), **extra})
+    pattern = pattern_from_dict(structure, extra["dim"])
     # The angles and samples lines read 0 where the meta lacks them; sweeps
     # and baselines always have at least one of each.
     meta = {k: int(header[k]) for k in ("angles", "samples") if header.get(k, "0") != "0"}
@@ -183,12 +239,13 @@ def grid_to_csv(field) -> str:
         f"# resolution={n_re}x{n_im}",
         "re,im,sigma_min",
     ]
-    res = field.re_centers
-    ims = field.im_centers
-    for i in range(n_re):
-        for j in range(n_im):
-            lines.append(f"{_fmt(res[i])},{_fmt(ims[j])},{_fmt(field.values[i, j])}")
-    return "\n".join(lines) + "\n"
+    rows = format_rows(
+        "%.17g,%.17g,%.17g\n",
+        np.repeat(field.re_centers, n_im),
+        np.tile(field.im_centers, n_re),
+        field.values.ravel(),
+    )
+    return "\n".join(lines) + "\n" + rows
 
 
 def save_grid(path: str, field) -> None:

@@ -104,14 +104,17 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     left eigenvector.  It runs on B = A / 2^e, 2^e the power of two just
     above the largest real or imaginary part: exact, and no norm can
     overflow.  All checks run on B; eigenvalues and ``min_gap`` are scaled
-    back by 2^e.  Raises DefectiveInput when the minimal eigenvalue gap falls
-    below ``GAP_TOL_FACTOR * ||A||_F`` and NonConvergence when a right or
-    left residual exceeds ``TOL_EIG * ||A||_F``.
+    back by 2^e.  Raises DefectiveInput for the zero matrix and when the
+    minimal eigenvalue gap falls below ``GAP_TOL_FACTOR * ||A||_F``, and
+    NonConvergence when a right or left residual exceeds
+    ``TOL_EIG * ||A||_F``.
     """
     A = _validate_square(A)
     e = int(np.frexp(np.abs(A.view(float)).max())[1])
     B = np.ldexp(A.view(float), -e).view(complex)
     norm_b = np.linalg.norm(B)
+    if norm_b == 0.0:
+        raise DefectiveInput("the zero matrix has one eigenvalue of full multiplicity")
 
     try:
         w, vl, vr = scipy.linalg.eig(B, left=True, right=True, check_finite=False)
@@ -167,16 +170,15 @@ def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
         raise DimensionMismatch(
             f"eigensystem dimension {sys.dim} != 2 * {n_half}"
         )
-    J = symplectic_j(n_half)
-    lefts = sys.lefts.copy()
+    Y, X = sys.lefts, sys.rights
+    c = np.einsum("ij,ij->j", Y.conj(), symplectic_j(n_half) @ X)
+    modulus = np.hypot(c.real, c.imag)
+    turn = modulus > 0.0
+    # y -> e^{i arg(c)} y sends y^H J x to |c| (real, nonnegative).
+    lefts = Y.copy()
+    lefts[:, turn] *= c[turn] / modulus[turn]
     overlaps = sys.overlaps.copy()
-    for i in range(sys.dim):
-        c = np.vdot(lefts[:, i], J @ sys.rights[:, i])
-        if abs(c) > 0.0:
-            # y -> e^{i arg(c)} y sends y^H J x to |c| (real, nonnegative).
-            phase = c / abs(c)
-            lefts[:, i] = lefts[:, i] * phase
-            overlaps[i] = np.vdot(lefts[:, i], sys.rights[:, i])
+    overlaps[turn] = np.einsum("ij,ij->j", lefts[:, turn].conj(), X[:, turn])
     return replace(sys, lefts=lefts, overlaps=overlaps)
 
 

@@ -28,7 +28,7 @@ from .structures import (
     StructurePattern,
     full,
     normalized_projection,
-    project,
+    projection_norms,
 )
 
 OVERLAP_TOL = 1e-14
@@ -75,12 +75,7 @@ def kappas(sys: Eigensystem, S: StructurePattern) -> np.ndarray:
     moduli = np.hypot(sys.overlaps.real, sys.overlaps.imag)
     if S.kind == FULL:
         return 1.0 / moduli
-    S = _complex_pattern(S)
-    norms = [
-        np.linalg.norm(project(np.outer(sys.lefts[:, i], np.conj(sys.rights[:, i])), S))
-        for i in range(sys.dim)
-    ]
-    return np.array(norms) / moduli
+    return projection_norms(sys.lefts, sys.rights, _complex_pattern(S)) / moduli
 
 
 def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> np.ndarray:
@@ -108,15 +103,17 @@ def _closest_pair(w: np.ndarray, kappa: np.ndarray):
     if active.size < 2:
         raise DegenerateSpectrum("fewer than two eigenvalues with positive kappa")
 
-    best = np.inf
-    best_pair = None
-    for a in range(active.size):
-        for b in range(a + 1, active.size):
-            i, j = int(active[a]), int(active[b])
-            value = abs(w[i] - w[j]) / (kappa[i] + kappa[j])
-            if value < best * (1.0 - PAIR_TIE_RTOL):
-                best = value
-                best_pair = (i, j)
+    # pairs (i, j), i < j, in lexicographic order
+    i, j = (active[t] for t in np.triu_indices(active.size, k=1))
+    d = w[i] - w[j]
+    values = np.hypot(d.real, d.imag) / (kappa[i] + kappa[j])
+    # The scan below keeps the first pair beating the best so far by more
+    # than PAIR_TIE_RTOL; only a pair below every earlier one can do that.
+    earlier = np.concatenate(([np.inf], np.fmin.accumulate(values)[:-1]))
+    best, best_pair = np.inf, None
+    for p in np.flatnonzero(values < earlier):
+        if values[p] < best * (1.0 - PAIR_TIE_RTOL):
+            best, best_pair = values[p], (int(i[p]), int(j[p]))
     return float(best), best_pair
 
 

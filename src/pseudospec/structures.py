@@ -126,6 +126,62 @@ def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
     return 0.5 * (M + J @ M.conj().T @ J)
 
 
+def _cdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u^H v for every column pair of U and V."""
+    return np.einsum("ij,ij->j", U.conj(), V)
+
+
+def _diagonal_sums(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
+    """Sum of diagonal k of u v^H for every column pair."""
+    n = U.shape[0]
+    if k >= 0:
+        return _cdot(V[k:], U[: n - k])
+    return _cdot(V[: n + k], U[-k:])
+
+
+def _outer_gram(U1, V1, U2, V2, S: StructurePattern) -> np.ndarray:
+    """Re <P(u1 v1^H), P(u2 v2^H)> for every column, P the projection onto
+    the complex span of S (``S.real`` is not read)."""
+    if S.kind == HAMILTONIAN:
+        # P is orthogonal for Re<.,.>, so this is Re <M1, (M2 + J M2^H J) / 2>.
+        # J v = (v_lower, -v_upper) for J = symplectic_j(n_half)
+        h = S.n_half
+        JV1, JV2 = (np.concatenate([V[h:], -V[:h]]) for V in (V1, V2))
+        g = (_cdot(U1, U2) * _cdot(V2, V1) + _cdot(U1, JV2) * _cdot(U2, JV1)) / 2
+    elif S.kind == FULL:
+        g = _cdot(U1, U2) * _cdot(V2, V1)
+    else:
+        # P puts c_k / (n - |k|) on each of the n - |k| entries of a supported
+        # diagonal, c_k its sum; antidiagonals of u v^H are diagonals of u
+        # times v reversed.
+        if S.kind == HANKEL:
+            V1, V2 = V1[::-1], V2[::-1]
+        g = sum(
+            np.conj(_diagonal_sums(U1, V1, k)) * _diagonal_sums(U2, V2, k) / (S.dim - abs(k))
+            for k in S.support
+        )
+    return g.real
+
+
+def projection_norms(lefts: np.ndarray, rights: np.ndarray, S: StructurePattern) -> np.ndarray:
+    """||project(y_i x_i^H, S)||_F for every column pair (y_i, x_i).
+
+    O(n^2 * |support|): the n outer products are never formed.  Hamiltonian:
+    sqrt((|y|^2 |x|^2 + Re c^2) / 2) with c = y^H J x; Toeplitz and Hankel:
+    sqrt(sum_k |c_k|^2 / (n - |k|)) over the diagonal sums c_k.
+    """
+    Y = np.asarray(lefts, dtype=complex)
+    X = np.asarray(rights, dtype=complex)
+    if S.real:
+        # Re(y x^H) = a b^T + c d^T for y = a + ic, x = b + id.
+        a, c, b, d = Y.real, Y.imag, X.real, X.imag
+        sq = _outer_gram(a, b, a, b, S) + _outer_gram(c, d, c, d, S)
+        sq += 2 * _outer_gram(a, b, c, d, S)
+    else:
+        sq = _outer_gram(Y, X, Y, X, S)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def is_member(M: np.ndarray, S: StructurePattern) -> bool:
     """True iff M lies in S to within ``MEMBERSHIP_RTOL * ||M||_F``."""
     M = _check_dim(M, S)

@@ -1,8 +1,8 @@
 """Deterministic standalone SVG scatter plots of point clouds.
 
 Hand-rolled writer so identical inputs give identical bytes: clouds as small
-circles (one fill color per cloud), eigenvalues as squares, axes with tick
-labels.
+circles (one fill color per cloud, formatted in bulk), eigenvalues as
+squares, axes with tick labels.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams
+from .io import format_rows
 
 WIDTH = 640
 HEIGHT = 640
@@ -76,13 +77,11 @@ def svg_render(clouds, eigenvalues, window) -> str:
 
     for idx, (label, points) in enumerate(clouds):
         color = PALETTE[idx % len(PALETTE)]
+        z = np.atleast_1d(np.asarray(points, dtype=complex))
+        z = z[(re_min <= z.real) & (z.real <= re_max) & (im_min <= z.imag) & (z.imag <= im_max)]
+        circles = format_rows('\n<circle cx="%.6g" cy="%.6g" r="1.5"/>', sx(z.real), sy(z.imag))
         parts.append(f'<g fill="{color}" fill-opacity="0.6">')
-        parts.append(f"<!-- cloud: {label} -->")
-        for z in np.atleast_1d(np.asarray(points, dtype=complex)):
-            if re_min <= z.real <= re_max and im_min <= z.imag <= im_max:
-                parts.append(
-                    f'<circle cx="{_fmt(sx(z.real))}" cy="{_fmt(sy(z.imag))}" r="1.5"/>'
-                )
+        parts.append(f"<!-- cloud: {label} -->{circles}")
         parts.append("</g>")
 
     parts.append(f'<g fill="{EIGEN_COLOR}">')

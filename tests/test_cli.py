@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pseudospec
-from pseudospec import errors, families, full, hamiltonian, hankel, io, toeplitz
+from pseudospec import cli, errors, families, full, hamiltonian, hankel, io, toeplitz
 from pseudospec.cli import STRUCTURE_CHOICES, _resolve_pattern, build_parser, main
 from pseudospec.errors import BadParams
 from pseudospec.families import generate
@@ -326,3 +326,48 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_runs_the_module_command_at_call_time(monkeypatch, matrix_file):
+    calls = []
+
+    def stub(args):
+        calls.append(args.matrix)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_analyze", stub)
+    assert run("analyze", matrix_file) == 7
+    assert calls == [str(matrix_file)]
+
+
+@pytest.mark.parametrize("structure", [
+    {},
+    {"kind": "toeplitz", "support": 5},
+    "toeplitz",
+    {"kind": 3},
+    {"kind": "toeplitz", "support": [0, "1"]},
+    {"kind": "hamiltonian", "n_half": 1.0},
+    {"kind": "toeplitz", "support": [0], "real": "yes"},
+], ids=["empty", "support-not-list", "not-object", "kind-not-string",
+        "support-not-ints", "n_half-not-int", "real-not-bool"])
+def test_malformed_structure_exit_2(tmp_path, capsys, structure):
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), np.eye(2))
+    doc = json.loads(path.read_text())
+    doc["structure"] = structure
+    path.write_text(json.dumps(doc))
+    assert run("analyze", path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), np.zeros((2, 2)))
+    assert run("analyze", path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "nan" not in err

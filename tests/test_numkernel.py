@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,13 @@ class TestEigPairs:
     def test_defective_input_rejected(self):
         with pytest.raises(DefectiveInput):
             eig_pairs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_zero_matrix_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DefectiveInput) as info:
+                eig_pairs(np.zeros((3, 3)))
+        assert "nan" not in str(info.value)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from pseudospec import (
 )
 from pseudospec.errors import DegenerateSpectrum
 from pseudospec.families import generate
+from pseudospec.sensitivity import PAIR_TIE_RTOL, _closest_pair
 
 
 class TestCondStandard:
@@ -322,3 +325,48 @@ class TestAnalyze:
         assert np.all(report.kappas >= 1.0 - 1e-12)
         assert np.all(report.kappas_structured <= report.kappas + 1e-12)
         assert report.epsilon_structured >= report.epsilon
+
+
+def _closest_pair_loop(w, kappa):
+    """The double loop _closest_pair replaced, kept as its reference."""
+    active = np.flatnonzero(kappa > 0.0)
+    best, best_pair = np.inf, None
+    for a in range(active.size):
+        for b in range(a + 1, active.size):
+            i, j = int(active[a]), int(active[b])
+            value = abs(w[i] - w[j]) / (kappa[i] + kappa[j])
+            if value < best * (1.0 - PAIR_TIE_RTOL):
+                best, best_pair = value, (i, j)
+    return float(best), best_pair
+
+
+def _near_tie_spectra():
+    rng = np.random.default_rng(3)
+    # equally spaced eigenvalues with equal kappas: many exact ties
+    yield np.arange(7) * (1 + 1j), np.ones(7)
+    yield np.exp(2j * np.pi * np.arange(8) / 8), np.full(8, 2.0)
+    # chains of gaps shrinking by fractions of PAIR_TIE_RTOL, in both orders
+    for step in (0.3, 0.6, 1.0, 1.7):
+        for length in (3, 4, 5, 8):
+            gaps = 1.0 - step * PAIR_TIE_RTOL * np.arange(length)
+            for g in (gaps, gaps[::-1], rng.permutation(gaps)):
+                w = np.concatenate(([0.0], np.cumsum(g * 10.0))).astype(complex)
+                yield w, np.ones(length + 1)
+    # random spectra, some kappas zero, some gaps tied on purpose
+    for _ in range(200):
+        n = int(rng.integers(2, 14))
+        w = np.round(rng.standard_normal(n) + 1j * rng.standard_normal(n), int(rng.integers(0, 3)))
+        kappa = rng.choice([0.0, 1.0, 2.0, rng.uniform(0.5, 3.0)], size=n)
+        yield w, kappa
+
+
+def test_closest_pair_matches_double_loop():
+    checked = 0
+    for w, kappa in _near_tie_spectra():
+        if np.count_nonzero(kappa > 0) < 2:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _closest_pair(w, kappa) == _closest_pair_loop(w, kappa)
+        checked += 1
+    assert checked > 150

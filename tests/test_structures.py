@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pseudospec import (
     is_member,
     normalized_projection,
     project,
+    projection_norms,
     random_member,
     random_rank_one,
     symplectic_j,
@@ -182,3 +185,32 @@ def test_toeplitz_support_inference():
     assert toeplitz_support_of(A) == frozenset({-1, 1})
     A[0, 0] = 3.0  # no longer constant but the diagonal is now nonzero
     assert toeplitz_support_of(A) == frozenset({-1, 0, 1})
+
+
+NORM_PATTERNS = [
+    full(6),
+    toeplitz(6, {-2, 0, 1}),
+    toeplitz(6, {-5, -1, 0, 3, 5}),
+    hankel(6, {-1, 0, 2}),
+    hankel(6, {-5, 4}),
+    hamiltonian(3),
+]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex-pattern", "real-pattern"])
+@pytest.mark.parametrize("S", NORM_PATTERNS, ids=lambda S: f"{S.kind}-{sorted(S.support or [])}")
+@pytest.mark.parametrize("vectors", ["complex", "real"])
+def test_projection_norms_match_projected_outer_products(S, real, vectors):
+    S = replace(S, real=real)
+    rng = np.random.default_rng(7)
+    Y, X = (random_matrix(S.dim, real=vectors == "real") for _ in range(2))
+    expected = [
+        np.linalg.norm(project(np.outer(Y[:, i], X[:, i].conj()), S)) for i in range(S.dim)
+    ]
+    np.testing.assert_allclose(projection_norms(Y, X, S), expected, rtol=1e-12, atol=0)
+    # unit vectors, the eigenvector setting
+    Y, X = Y / np.linalg.norm(Y, axis=0), X / np.linalg.norm(X, axis=0) * rng.choice([1, 1j])
+    expected = [
+        np.linalg.norm(project(np.outer(Y[:, i], X[:, i].conj()), S)) for i in range(S.dim)
+    ]
+    np.testing.assert_allclose(projection_norms(Y, X, S), expected, rtol=1e-12, atol=0)
