@@ -51,8 +51,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.angles < 1:
             raise ValueError("angle count must be at least 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def cmd_analyze(args) -> int:
         "epsilon_structured": report.epsilon_structured,
         "pair": list(report.pair),
         "pair_structured": list(report.pair_structured),
-        "pattern": families.pattern_to_dict(pattern),
+        "pattern": structures.pattern_to_dict(pattern),
     }
     if args.json_out:
         io.atomic_write(args.json_out, json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -87,16 +87,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    if args.baseline < 0:
+        raise BadParams("--baseline must be nonnegative")
     A, declared = io.load_matrix(args.matrix)
     pattern = _resolve_pattern(args.structure, declared, A)
-    sys_ = eig_pairs(A)
     pair = None
     if args.pair:
         i_s, _, j_s = args.pair.partition(",")
         pair = (int(i_s), int(j_s))
+    # Built before the eigensolve, so a bad --epsilon or --angles fails first.
     cfg = approx_mod.SweepConfig(
         pattern=pattern, epsilon=args.epsilon, angles=args.angles, pair_override=pair
     )
+    sys_ = eig_pairs(A)
     cloud = approx_mod.sweep_wilkinson(A, sys_, cfg)
     sha = io.matrix_hash(args.matrix)
     io.save_cloud(args.out, cloud, sha)
@@ -126,6 +129,11 @@ def cmd_approx(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    eps_list = args.eps_list or []
+    if not all(0.0 < eps < np.inf for eps in eps_list):
+        raise BadParams("--eps-list values must be finite and positive")
+    if not 0.0 <= args.slack < np.inf:
+        raise BadParams("--slack must be finite and nonnegative")
     A, _ = io.load_matrix(args.matrix)
     sys_ = eig_pairs(A)
 
@@ -134,8 +142,7 @@ def cmd_oracle(args) -> int:
         if len(bounds) != 4:
             raise BadParams("--bounds expects re_min,re_max,im_min,im_max")
     else:
-        eps_ref = max(args.eps_list) if args.eps_list else 1e-2
-        bounds = oracle.default_window(sys_, eps_ref)
+        bounds = oracle.default_window(sys_, max(eps_list, default=1e-2))
     res_s = args.res.split("x")
     if len(res_s) != 2:
         raise BadParams("--res expects NxM")
@@ -146,7 +153,7 @@ def cmd_oracle(args) -> int:
         io.save_grid(args.out, field)
         print(f"wrote {args.out}")
 
-    for eps in args.eps_list or []:
+    for eps in eps_list:
         value, unc = oracle.abscissa_grid(field, eps)
         print(f"eps={eps:.6e}: abscissa={value:.6e} +/- {unc:.3e}")
 
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="sigma_min grid and cloud inclusion checks")
     p.add_argument("matrix")
     p.add_argument("--bounds", default=None, help="re_min,re_max,im_min,im_max")
-    p.add_argument("--res", default="200x200")
+    p.add_argument("--res", default="{}x{}".format(*oracle.DEFAULT_RESOLUTION))
     p.add_argument("--eps-list", type=float, nargs="*", default=None)
     p.add_argument("--check", default=None, help="cloud CSV to verify")
     p.add_argument("--slack", type=float, default=1e-8)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadParams, UnknownFamily
 from .numkernel import toeplitz_matrix
-from .structures import StructurePattern, hamiltonian, project, toeplitz
+from .structures import hamiltonian, project, toeplitz
 
 FAMILIES = ("tridiag_toeplitz", "pentadiag_toeplitz", "hamiltonian_random")
 
@@ -72,21 +72,3 @@ def generate(family: str, n: int, seed: int):
     params = {"n_half": n_half}
     return A, pattern, params
 
-
-def pattern_to_dict(S: StructurePattern) -> dict:
-    d = {"kind": S.kind, "real": S.real}
-    if S.support is not None:
-        d["support"] = sorted(S.support)
-    if S.n_half is not None:
-        d["n_half"] = S.n_half
-    return d
-
-
-def pattern_from_dict(d: dict, dim: int) -> StructurePattern:
-    return StructurePattern(
-        kind=d["kind"],
-        dim=dim,
-        support=frozenset(d["support"]) if "support" in d else None,
-        n_half=d.get("n_half"),
-        real=bool(d.get("real", False)),
-    )

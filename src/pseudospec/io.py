@@ -18,8 +18,7 @@ import numpy as np
 
 from .approx import PointCloud
 from .errors import BadParams
-from .families import pattern_from_dict, pattern_to_dict
-from .structures import StructurePattern, is_member
+from .structures import StructurePattern, is_member, pattern_from_dict, pattern_to_dict
 
 
 # Rows per % operation in format_rows: bounds the Python floats alive at once.
@@ -109,32 +108,12 @@ def load_matrix(path: str):
     A = parts.view(complex).reshape(n, n)
     pattern = None
     if "structure" in doc:
-        pattern = pattern_from_dict(_checked_structure(doc["structure"]), n)
+        pattern = pattern_from_dict(doc["structure"], n)
         if not is_member(A, pattern):
             raise BadParams(
                 f"matrix does not satisfy its declared {pattern.kind} structure"
             )
     return A, pattern
-
-
-def _checked_structure(d):
-    """A structure object from a file, type-checked before
-    :func:`pattern_from_dict` reads it."""
-    support = d.get("support", []) if isinstance(d, dict) else None
-    if not (
-        isinstance(d, dict)
-        and isinstance(d.get("kind"), str)
-        and isinstance(support, list)
-        and all(isinstance(k, int) for k in support)
-        and isinstance(d.get("n_half", 0), int)
-        and isinstance(d.get("real", False), bool)
-    ):
-        raise BadParams(
-            "'structure' must be an object with a string 'kind' and, where "
-            "given, a list of integers 'support', an integer 'n_half' and a "
-            "boolean 'real'"
-        )
-    return d
 
 
 def matrix_hash(path: str) -> str:
@@ -219,8 +198,7 @@ def _pattern_and_meta(header: dict, dim_hint: int):
     extra = {k: json.loads(header[k]) for k in _CLOUD_KEYS if k in header}
     if "dim" not in extra:
         return StructurePattern("full", max(dim_hint, 2)), {}
-    structure = _checked_structure({"kind": header.get("pattern", "full"), **extra})
-    pattern = pattern_from_dict(structure, extra["dim"])
+    pattern = pattern_from_dict({"kind": header.get("pattern", "full"), **extra}, extra["dim"])
     # The angles and samples lines read 0 where the meta lacks them; sweeps
     # and baselines always have at least one of each.
     meta = {k: int(header[k]) for k in ("angles", "samples") if header.get(k, "0") != "0"}

@@ -62,13 +62,15 @@ def _validate_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-modulus component is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if abs(pivot) == 0.0:
-        return v
-    return v * (np.conj(pivot) / abs(pivot))
+def _unit_phases(z: np.ndarray) -> np.ndarray:
+    """z / |z| elementwise, and 1 where z = 0."""
+    modulus = np.hypot(z.real, z.imag)
+    return np.divide(z, modulus, out=np.ones_like(z), where=modulus > 0.0)
+
+
+def _column_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u^H v for every column pair of U and V."""
+    return np.einsum("ij,ij->j", U.conj(), V)
 
 
 def _min_pairwise_gap(w: np.ndarray) -> float:
@@ -80,21 +82,16 @@ def _min_pairwise_gap(w: np.ndarray) -> float:
 def _normalized_triples(rights: np.ndarray, lefts: np.ndarray):
     """Unit eigenvectors with fixed phases; returns ``(rights, lefts, overlaps)``.
 
-    Each right vector gets its canonical phase and each left vector the
-    phase that makes y^H x real positive.  Both inputs are overwritten.
+    Each right vector is turned so its largest-modulus component is real
+    positive, and each left vector so that y^H x is real positive (a left
+    vector with y^H x = 0 keeps its phase).
     """
-    overlaps = np.empty(rights.shape[1], dtype=complex)
-    for i in range(rights.shape[1]):
-        x = _canonical_phase(rights[:, i] / np.linalg.norm(rights[:, i]))
-        y = lefts[:, i] / np.linalg.norm(lefts[:, i])
-        o = np.vdot(y, x)
-        if abs(o) > 0.0:
-            # y -> e^{i arg(o)} y makes y^H x real positive.
-            y = y * (o / abs(o))
-        rights[:, i] = x
-        lefts[:, i] = y
-        overlaps[i] = np.vdot(y, x)
-    return rights, lefts, overlaps
+    X = rights / np.linalg.norm(rights, axis=0)
+    Y = lefts / np.linalg.norm(lefts, axis=0)
+    pivots = X[np.argmax(np.abs(X), axis=0), np.arange(X.shape[1])]
+    X *= np.conj(_unit_phases(pivots))
+    Y *= _unit_phases(_column_dots(Y, X))
+    return X, Y, _column_dots(Y, X)
 
 
 def eig_pairs(A: np.ndarray) -> Eigensystem:
@@ -171,15 +168,9 @@ def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
             f"eigensystem dimension {sys.dim} != 2 * {n_half}"
         )
     Y, X = sys.lefts, sys.rights
-    c = np.einsum("ij,ij->j", Y.conj(), symplectic_j(n_half) @ X)
-    modulus = np.hypot(c.real, c.imag)
-    turn = modulus > 0.0
-    # y -> e^{i arg(c)} y sends y^H J x to |c| (real, nonnegative).
-    lefts = Y.copy()
-    lefts[:, turn] *= c[turn] / modulus[turn]
-    overlaps = sys.overlaps.copy()
-    overlaps[turn] = np.einsum("ij,ij->j", lefts[:, turn].conj(), X[:, turn])
-    return replace(sys, lefts=lefts, overlaps=overlaps)
+    # y -> e^{i arg(c)} y sends c = y^H J x to |c| (real, nonnegative).
+    lefts = Y * _unit_phases(_column_dots(Y, symplectic_j(n_half) @ X))
+    return replace(sys, lefts=lefts, overlaps=_column_dots(lefts, X))
 
 
 def sigma_min(A: np.ndarray, z: complex) -> float:

@@ -67,21 +67,20 @@ def default_window(sys, epsilon: float) -> tuple:
 
 def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridField:
     """Evaluate sigma_min(A - z I) at every cell center."""
-    re_min, re_max, im_min, im_max = (float(b) for b in bounds)
+    bounds = tuple(float(b) for b in bounds)
+    re_min, re_max, im_min, im_max = bounds
     n_re, n_im = (int(r) for r in resolution)
+    if not np.all(np.isfinite(bounds)):
+        raise OutOfBounds("window bounds must be finite")
     if not (re_max > re_min and im_max > im_min):
         raise OutOfBounds("window bounds are degenerate")
     if n_re < 2 or n_im < 2:
         raise OutOfBounds("resolution must be at least 2x2")
-    res = re_min + (re_max - re_min) / n_re * (np.arange(n_re) + 0.5)
-    ims = im_min + (im_max - im_min) / n_im * (np.arange(n_im) + 0.5)
-    zs = res[:, None] + 1j * ims[None, :]
+    field = GridField(bounds, (n_re, n_im), np.empty((n_re, n_im)))
+    zs = field.re_centers[:, None] + 1j * field.im_centers[None, :]
     values = sigma_min_batch(np.asarray(A, dtype=complex), zs.ravel())
-    return GridField(
-        bounds=(re_min, re_max, im_min, im_max),
-        resolution=(n_re, n_im),
-        values=values.reshape(n_re, n_im),
-    )
+    field.values[:] = values.reshape(n_re, n_im)
+    return field
 
 
 def _cell_of(field: GridField, z: complex) -> tuple:
@@ -115,8 +114,8 @@ class InclusionReport:
 
 def cloud_inclusion_check(cloud: PointCloud, A: np.ndarray, slack: float) -> InclusionReport:
     """Verify sigma_min(A - z I) <= eps * (1 + slack) for every cloud point."""
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
+    if not 0.0 <= slack < np.inf:
+        raise ValueError("slack must be finite and nonnegative")
     values = sigma_min_batch(np.asarray(A, dtype=complex), cloud.points)
     limit = cloud.epsilon * (1.0 + slack)
     ok = values <= limit

@@ -58,9 +58,11 @@ def _rephased(sys: Eigensystem, S: StructurePattern) -> Eigensystem:
 
 
 def _check_overlaps(sys: Eigensystem, indices) -> None:
-    for i in indices:
-        if abs(sys.overlaps[i]) <= OVERLAP_TOL:
-            raise VanishingOverlap(f"eigenvalue {i} is numerically defective")
+    indices = np.asarray(indices)
+    o = sys.overlaps[indices]
+    bad = indices[np.hypot(o.real, o.imag) <= OVERLAP_TOL]
+    if bad.size:
+        raise VanishingOverlap(f"eigenvalue {bad[0]} is numerically defective")
 
 
 def kappas(sys: Eigensystem, S: StructurePattern) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroProjection
-from .numkernel import symplectic_j
+from .errors import BadParams, DimensionMismatch, ZeroProjection
+from .numkernel import _column_dots, symplectic_j, toeplitz_matrix
 
 MEMBERSHIP_RTOL = 1e-12
 NORM_RTOL = 1e-14
@@ -73,11 +73,52 @@ def hamiltonian(n_half: int, real: bool = False) -> StructurePattern:
     return StructurePattern(HAMILTONIAN, 2 * n_half, n_half=n_half, real=real)
 
 
-def toeplitz_support_of(A: np.ndarray, rtol: float = MEMBERSHIP_RTOL) -> frozenset:
-    """Offsets of the diagonals of A holding any non-negligible entry."""
+def pattern_to_dict(S: StructurePattern) -> dict:
+    """The structure object of S, as matrix files and cloud headers store it."""
+    d = {"kind": S.kind, "real": S.real}
+    if S.support is not None:
+        d["support"] = sorted(S.support)
+    if S.n_half is not None:
+        d["n_half"] = S.n_half
+    return d
+
+
+def pattern_from_dict(d, dim: int) -> StructurePattern:
+    """The pattern of a structure object read from a file.
+
+    The object must have a string ``kind`` and, where given, a list of
+    integers ``support``, an integer ``n_half`` and a boolean ``real``;
+    anything else raises BadParams.
+    """
+    support = d.get("support", []) if isinstance(d, dict) else None
+    if not (
+        isinstance(d, dict)
+        and isinstance(d.get("kind"), str)
+        and isinstance(support, list)
+        and all(isinstance(k, int) for k in support)
+        and isinstance(d.get("n_half", 0), int)
+        and isinstance(d.get("real", False), bool)
+    ):
+        raise BadParams(
+            "'structure' must be an object with a string 'kind' and, where "
+            "given, a list of integers 'support', an integer 'n_half' and a "
+            "boolean 'real'"
+        )
+    return StructurePattern(
+        kind=d["kind"],
+        dim=dim,
+        support=frozenset(support) if "support" in d else None,
+        n_half=d.get("n_half"),
+        real=d.get("real", False),
+    )
+
+
+def toeplitz_support_of(A: np.ndarray) -> frozenset:
+    """Offsets of the diagonals of A holding an entry above
+    ``MEMBERSHIP_RTOL * ||A||_F``."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    thresh = rtol * max(np.linalg.norm(A), 1e-300)
+    thresh = MEMBERSHIP_RTOL * max(np.linalg.norm(A), 1e-300)
     return frozenset(
         k
         for k in range(-(n - 1), n)
@@ -98,12 +139,7 @@ def _project_banded(M: np.ndarray, support, antidiagonal: bool) -> np.ndarray:
     # Antidiagonals of M are diagonals of fliplr(M); offset k maps so that
     # k = n - 1 - (i + j), i.e. the main antidiagonal has offset 0.
     work = M[:, ::-1] if antidiagonal else M
-    out = np.zeros_like(work)
-    for k in support:
-        d = np.diagonal(work, k)
-        rows = np.arange(d.shape[0]) + (0 if k >= 0 else -k)
-        cols = rows + k
-        out[rows, cols] = d.mean()
+    out = toeplitz_matrix(M.shape[0], {k: np.diagonal(work, k).mean() for k in support})
     return out[:, ::-1] if antidiagonal else out
 
 
@@ -126,17 +162,12 @@ def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
     return 0.5 * (M + J @ M.conj().T @ J)
 
 
-def _cdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """u^H v for every column pair of U and V."""
-    return np.einsum("ij,ij->j", U.conj(), V)
-
-
 def _diagonal_sums(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
     """Sum of diagonal k of u v^H for every column pair."""
     n = U.shape[0]
     if k >= 0:
-        return _cdot(V[k:], U[: n - k])
-    return _cdot(V[: n + k], U[-k:])
+        return _column_dots(V[k:], U[: n - k])
+    return _column_dots(V[: n + k], U[-k:])
 
 
 def _outer_gram(U1, V1, U2, V2, S: StructurePattern) -> np.ndarray:
@@ -147,9 +178,9 @@ def _outer_gram(U1, V1, U2, V2, S: StructurePattern) -> np.ndarray:
         # J v = (v_lower, -v_upper) for J = symplectic_j(n_half)
         h = S.n_half
         JV1, JV2 = (np.concatenate([V[h:], -V[:h]]) for V in (V1, V2))
-        g = (_cdot(U1, U2) * _cdot(V2, V1) + _cdot(U1, JV2) * _cdot(U2, JV1)) / 2
+        g = (_column_dots(U1, U2) * _column_dots(V2, V1) + _column_dots(U1, JV2) * _column_dots(U2, JV1)) / 2
     elif S.kind == FULL:
-        g = _cdot(U1, U2) * _cdot(V2, V1)
+        g = _column_dots(U1, U2) * _column_dots(V2, V1)
     else:
         # P puts c_k / (n - |k|) on each of the n - |k| entries of a supported
         # diagonal, c_k its sum; antidiagonals of u v^H are diagonals of u

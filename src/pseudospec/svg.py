@@ -15,6 +15,7 @@ from .io import format_rows
 WIDTH = 640
 HEIGHT = 640
 MARGIN = 60
+TICKS = 5
 
 PALETTE = ("#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 EIGEN_COLOR = "#d62728"
@@ -24,8 +25,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list:
+    return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
 
 
 def svg_render(clouds, eigenvalues, window) -> str:

@@ -388,3 +388,9 @@ class TestCoverage:
         pair = sweep.meta["pair"]
         s2r, r2s = coverage_comparison(sweep, rand, sys, pair, radius_factor=0.5)
         assert s2r > r2s
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0])
+def test_non_finite_or_zero_epsilon_rejected(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        SweepConfig(pattern=full(2), epsilon=epsilon)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,3 +372,34 @@ def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert "nan" not in err
+
+
+@pytest.mark.parametrize("argv,named,outputs", [
+    (["approx", "--epsilon", "nan", "--out", "c.csv"], "epsilon", ["c.csv"]),
+    (["approx", "--epsilon", "inf", "--out", "c.csv"], "epsilon", ["c.csv"]),
+    (["approx", "--baseline", "-1", "--out", "c.csv"], "baseline",
+     ["c.csv", "c.csv.baseline.csv"]),
+    (["oracle", "--check", "cloud.csv", "--slack", "nan", "--out", "g.csv"], "slack", ["g.csv"]),
+    (["oracle", "--bounds", "0,1,0,inf", "--out", "g.csv"], "bounds", ["g.csv"]),
+    (["oracle", "--eps-list", "-1", "--out", "g.csv"], "eps-list", ["g.csv"]),
+    (["oracle", "--eps-list", "0", "--out", "g.csv"], "eps-list", ["g.csv"]),
+], ids=["epsilon-nan", "epsilon-inf", "baseline-negative", "slack-nan", "bounds-inf",
+        "eps-list-negative", "eps-list-zero"])
+def test_bad_numeric_flag_exit_2_before_any_write(
+    matrix_file, tmp_path, capsys, monkeypatch, argv, named, outputs
+):
+    monkeypatch.chdir(tmp_path)
+    assert run("approx", matrix_file, "--angles", "4", "--out", "cloud.csv") == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv[0], matrix_file, *argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+    assert not any((tmp_path / name).exists() for name in outputs)
+
+
+def test_oracle_res_default_is_the_library_default():
+    args = build_parser().parse_args(["oracle", "m.json"])
+    assert args.res == "x".join(str(r) for r in pseudospec.oracle.DEFAULT_RESOLUTION)

@@ -3,12 +3,8 @@ import pytest
 
 from pseudospec import is_member
 from pseudospec.errors import BadParams, UnknownFamily
-from pseudospec.families import (
-    FAMILIES,
-    generate,
-    pattern_from_dict,
-    pattern_to_dict,
-)
+from pseudospec.families import FAMILIES, generate
+from pseudospec.structures import pattern_from_dict, pattern_to_dict
 
 
 @pytest.mark.parametrize("family,n", [

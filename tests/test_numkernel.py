@@ -22,6 +22,7 @@ from pseudospec.errors import (
     ZeroOffdiagonal,
 )
 from pseudospec.families import generate
+from pseudospec.numkernel import _normalized_triples
 
 U = np.finfo(float).eps / 2
 
@@ -276,3 +277,51 @@ class TestHamiltonianPhaseNormalize:
         sys = self._random_sys(3, n=4)
         with pytest.raises(DimensionMismatch):
             hamiltonian_phase_normalize(sys, 3)
+
+
+def _normalized_triples_loop(rights, lefts):
+    """The per-column normalizer that the array-level one replaced, kept as
+    the reference: canonical right phase, then y^H x real positive."""
+    rights, lefts = rights.copy(), lefts.copy()
+    overlaps = np.empty(rights.shape[1], dtype=complex)
+    for i in range(rights.shape[1]):
+        x = rights[:, i] / np.linalg.norm(rights[:, i])
+        pivot = x[int(np.argmax(np.abs(x)))]
+        if abs(pivot) > 0.0:
+            x = x * (np.conj(pivot) / abs(pivot))
+        y = lefts[:, i] / np.linalg.norm(lefts[:, i])
+        o = np.vdot(y, x)
+        if abs(o) > 0.0:
+            y = y * (o / abs(o))
+        rights[:, i], lefts[:, i] = x, y
+        overlaps[i] = np.vdot(y, x)
+    return rights, lefts, overlaps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 20, 31, 40])
+def test_normalized_triples_match_per_column_loop(n):
+    import scipy.linalg
+
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    _, lefts, rights = scipy.linalg.eig(A, left=True, right=True)
+    rights = rights * rng.uniform(0.5, 2.0, n)
+    # column 0: disjoint supports, so y^H x is exactly zero
+    h = n // 2
+    rights[h:, 0] = 0.0
+    lefts[:h, 0] = 0.0
+    X, Y, overlaps = _normalized_triples(rights.copy(), lefts.copy())
+    X_ref, Y_ref, overlaps_ref = _normalized_triples_loop(rights, lefts)
+    np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(Y, Y_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(overlaps, overlaps_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(X, axis=0), 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(Y, axis=0), 1.0, rtol=0, atol=1e-14)
+    pivots = X[np.argmax(np.abs(X), axis=0), np.arange(n)]
+    assert np.all(pivots.real > 0) and np.all(np.abs(pivots.imag) <= 4 * U)
+    assert overlaps[0] == 0
+    # a zero-overlap left vector keeps its phase
+    np.testing.assert_allclose(Y[:, 0] * np.linalg.norm(lefts[:, 0]), lefts[:, 0], atol=1e-14)
+    # y^H x of unit vectors rounds to within n u
+    o = overlaps[1:]
+    assert np.all(o.real > 0) and np.all(np.abs(o.imag) <= n * U)

@@ -134,3 +134,20 @@ class TestAbscissaGrid:
         field = grid_field(np.diag([0.0, 1.0]), (5.0, 6.0, 5.0, 6.0), (10, 10))
         with pytest.raises(EmptyLevelSet):
             abscissa_grid(field, 0.01)
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.0, 1.0, 0.0, np.inf), (-np.inf, 1.0, 0.0, 1.0), (0.0, np.nan, 0.0, 1.0),
+])
+def test_non_finite_window_rejected(bounds):
+    with pytest.raises(OutOfBounds, match="finite"):
+        grid_field(np.eye(2), bounds, (4, 4))
+
+
+@pytest.mark.parametrize("slack", [np.nan, np.inf])
+def test_non_finite_slack_rejected(slack):
+    A = np.diag([0.0, 3.0])
+    cfg = SweepConfig(pattern=full(2), epsilon=0.1, angles=2, pair_override=(0, 1))
+    cloud = sweep_wilkinson(A, eig_pairs(A), cfg)
+    with pytest.raises(ValueError, match="slack"):
+        cloud_inclusion_check(cloud, A, slack=slack)

@@ -20,6 +20,7 @@ from pseudospec import (
     tridiag_toeplitz,
 )
 from pseudospec.errors import DimensionMismatch, ZeroProjection
+from pseudospec.structures import _project_banded
 
 RNG = np.random.default_rng(2024)
 
@@ -214,3 +215,32 @@ def test_projection_norms_match_projected_outer_products(S, real, vectors):
         np.linalg.norm(project(np.outer(Y[:, i], X[:, i].conj()), S)) for i in range(S.dim)
     ]
     np.testing.assert_allclose(projection_norms(Y, X, S), expected, rtol=1e-12, atol=0)
+
+
+def _project_banded_loop(M, support, antidiagonal):
+    """The per-diagonal loop that ``_project_banded`` replaced, kept as the
+    reference."""
+    work = M[:, ::-1] if antidiagonal else M
+    out = np.zeros_like(work)
+    for k in support:
+        d = np.diagonal(work, k)
+        rows = np.arange(d.shape[0]) + (0 if k >= 0 else -k)
+        out[rows, rows + k] = d.mean()
+    return out[:, ::-1] if antidiagonal else out
+
+
+def test_project_banded_bitwise_equals_per_diagonal_loop():
+    rng = np.random.default_rng(11)
+    for t in range(100):
+        n = int(rng.integers(2, 10))
+        offsets = np.arange(-(n - 1), n)
+        support = set(rng.choice(offsets, size=int(rng.integers(1, 2 * n)), replace=False).tolist())
+        if t % 4 == 0:
+            support |= {-(n - 1), n - 1}  # the one-entry corner diagonals
+        M = random_matrix(n, real=t % 2 == 1)
+        M[rng.random((n, n)) < 0.3] = -0.0  # signed zeros, whole diagonals included
+        M[np.eye(n, k=int(rng.integers(-(n - 1), n)), dtype=bool)] = -0.0
+        for antidiagonal in (False, True):
+            got = _project_banded(M, support, antidiagonal)
+            ref = _project_banded_loop(M, support, antidiagonal)
+            assert got.tobytes() == ref.tobytes()
