@@ -220,8 +220,8 @@ def first_order_trajectories(
 def _all_ones_spectrum(A: np.ndarray, epsilon: float, S: StructurePattern) -> np.ndarray:
     """Spectrum of A + eps * E for E the normalized projection of the
     all-ones matrix onto S."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError("epsilon must be finite and positive")
     A = np.asarray(A, dtype=complex)
     E = normalized_projection(np.ones(A.shape), S)
     return _perturbed_spectra(A, [E], np.array([float(epsilon)]))[0]

@@ -134,21 +134,23 @@ def cmd_oracle(args) -> int:
         raise BadParams("--eps-list values must be finite and positive")
     if not 0.0 <= args.slack < np.inf:
         raise BadParams("--slack must be finite and nonnegative")
-    A, _ = io.load_matrix(args.matrix)
-    sys_ = eig_pairs(A)
-
-    if args.bounds:
-        bounds = tuple(float(v) for v in args.bounds.split(","))
-        if len(bounds) != 4:
-            raise BadParams("--bounds expects re_min,re_max,im_min,im_max")
-    else:
-        bounds = oracle.default_window(sys_, max(eps_list, default=1e-2))
-    res_s = args.res.split("x")
-    if len(res_s) != 2:
+    bounds = tuple(float(v) for v in args.bounds.split(",")) if args.bounds else None
+    if bounds and len(bounds) != 4:
+        raise BadParams("--bounds expects re_min,re_max,im_min,im_max")
+    resolution = tuple(int(r) for r in args.res.split("x"))
+    if len(resolution) != 2:
         raise BadParams("--res expects NxM")
-    resolution = (int(res_s[0]), int(res_s[1]))
+    A, _ = io.load_matrix(args.matrix)
+    if args.check:
+        cloud, header = io.load_cloud(args.check, dim_hint=A.shape[0])
+        if header["matrix_sha256"] != io.matrix_hash(args.matrix):
+            raise BadParams("cloud file was generated from a different matrix")
 
+    if bounds is None:
+        bounds = oracle.default_window(eig_pairs(A), max(eps_list, default=1e-2))
     field = oracle.grid_field(A, bounds, resolution)
+    # Before any write, so a cloud the check rejects leaves no --out file.
+    report = oracle.cloud_inclusion_check(cloud, A, slack=args.slack) if args.check else None
     if args.out:
         io.save_grid(args.out, field)
         print(f"wrote {args.out}")
@@ -157,12 +159,7 @@ def cmd_oracle(args) -> int:
         value, unc = oracle.abscissa_grid(field, eps)
         print(f"eps={eps:.6e}: abscissa={value:.6e} +/- {unc:.3e}")
 
-    if args.check:
-        cloud, header = io.load_cloud(args.check, dim_hint=A.shape[0])
-        sha = io.matrix_hash(args.matrix)
-        if header.get("matrix_sha256") and header["matrix_sha256"] != sha:
-            raise BadParams("cloud file was generated from a different matrix")
-        report = oracle.cloud_inclusion_check(cloud, A, slack=args.slack)
+    if report is not None:
         pct = 100.0 * report.passed / max(report.total, 1)
         print(
             f"inclusion check: pass {pct:.1f}% ({report.passed}/{report.total}), "

@@ -13,12 +13,13 @@ import itertools
 import json
 import os
 import tempfile
+from io import BytesIO
 
 import numpy as np
 
 from .approx import PointCloud
 from .errors import BadParams
-from .structures import StructurePattern, is_member, pattern_from_dict, pattern_to_dict
+from .structures import is_member, pattern_from_dict, pattern_to_dict
 
 
 # Rows per % operation in format_rows: bounds the Python floats alive at once.
@@ -93,7 +94,7 @@ def load_matrix(path: str):
     if not isinstance(doc, dict):
         raise BadParams("a matrix file must hold a JSON object")
     n, entries = doc.get("n"), doc.get("entries")
-    if not isinstance(n, int) or not isinstance(entries, list):
+    if type(n) is not int or not isinstance(entries, list):
         raise BadParams("a matrix file needs an integer 'n' and a list of 'entries'")
     if len(entries) != n * n:
         raise BadParams(f"expected {n * n} entries, found {len(entries)}")
@@ -121,9 +122,11 @@ def matrix_hash(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-# Cloud header keys after the fixed lines, with JSON values: the pattern
+# Cloud header: the fixed lines, then keys with JSON values: the pattern
 # (dim, real, support, n_half) and the meta entries without a fixed line.
+_CLOUD_FIXED = ("epsilon", "pattern", "kind", "angles", "samples", "seed", "matrix_sha256")
 _CLOUD_KEYS = ("dim", "real", "support", "n_half", "pair", "steps")
+_CLOUD_COLUMNS = "re,im,source_eigen,angle_index,sample_index"
 _CLOUD_ROW = np.dtype([
     ("re", float), ("im", float), ("source_eigen", int), ("angle_index", int),
     ("sample_index", int),
@@ -132,16 +135,14 @@ _CLOUD_ROW = np.dtype([
 
 def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
     extra = {"dim": cloud.pattern.dim, **pattern_to_dict(cloud.pattern), **cloud.meta}
+    fixed = (
+        _fmt(cloud.epsilon), cloud.pattern.kind, cloud.kind, cloud.meta.get("angles", 0),
+        cloud.meta.get("samples", 0), "" if cloud.seed is None else cloud.seed, matrix_sha,
+    )
     lines = [
-        f"# epsilon={_fmt(cloud.epsilon)}",
-        f"# pattern={cloud.pattern.kind}",
-        f"# kind={cloud.kind}",
-        f"# angles={cloud.meta.get('angles', 0)}",
-        f"# samples={cloud.meta.get('samples', 0)}",
-        f"# seed={cloud.seed if cloud.seed is not None else ''}",
-        f"# matrix_sha256={matrix_sha}",
+        *(f"# {k}={v}" for k, v in zip(_CLOUD_FIXED, fixed)),
         *(f"# {k}={json.dumps(extra[k])}" for k in _CLOUD_KEYS if k in extra),
-        "re,im,source_eigen,angle_index,sample_index",
+        _CLOUD_COLUMNS,
     ]
     rows = format_rows(
         "%.17g,%.17g,%d,%d,%d\n",
@@ -159,54 +160,50 @@ def save_cloud(path: str, cloud: PointCloud, matrix_sha: str) -> None:
 
 
 def load_cloud(path: str, dim_hint: int = 0):
-    """Read a cloud CSV; returns ``(PointCloud, header_dict)``."""
-    header, skip = {}, 0
-    rows = np.empty(0, dtype=_CLOUD_ROW)
-    with open(path) as fh:
-        # '#' header lines and the column names come first, then the rows.
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                header[key] = value
-            elif line and not line.startswith("re,"):
-                fh.seek(0)
-                rows = np.loadtxt(fh, dtype=_CLOUD_ROW, delimiter=",", skiprows=skip, ndmin=1)
-                break
-            skip += 1
+    """Read a cloud CSV as :func:`cloud_to_csv` writes it; returns
+    ``(PointCloud, header_dict)``.
+
+    The ``# key=value`` lines, with every fixed key and ``dim``, and the
+    column line are required, else BadParams.  A nonzero ``dim_hint`` is
+    the dimension of the matrix the cloud belongs to and must equal ``dim``.
+    """
+    with open(path, "rb") as fh:
+        head, columns, body = fh.read().partition(f"\n{_CLOUD_COLUMNS}\n".encode())
+    lines = head.decode().splitlines()
+    if not columns or not all(line.startswith("# ") for line in lines):
+        raise BadParams(f"a cloud file needs '# key=value' lines, then {_CLOUD_COLUMNS!r}")
+    header = dict(line[2:].partition("=")[::2] for line in lines)
+    missing = [k for k in (*_CLOUD_FIXED, "dim") if k not in header]
+    if missing:
+        raise BadParams(f"cloud header lacks the {', '.join(missing)} line")
+    extra = {k: json.loads(header[k]) for k in _CLOUD_KEYS if k in header}
+    pattern = pattern_from_dict({"kind": header["pattern"], **extra}, extra["dim"])
+    if dim_hint and pattern.dim != dim_hint:
+        raise BadParams(f"cloud dim {pattern.dim} does not match the matrix dimension {dim_hint}")
+    # The angles and samples lines read 0 where the meta lacks them; sweeps
+    # and baselines always have at least one of each.
+    meta = {k: int(header[k]) for k in ("angles", "samples") if header[k] != "0"}
+    if "pair" in extra:
+        meta["pair"] = tuple(extra["pair"])
+    if "steps" in extra:
+        meta["steps"] = extra["steps"]
+    rows = np.empty(0, dtype=_CLOUD_ROW)  # loadtxt warns on empty input
+    if body:
+        rows = np.loadtxt(BytesIO(body), dtype=_CLOUD_ROW, delimiter=",", ndmin=1)
     points = np.empty(rows.shape, dtype=complex)
     points.real, points.imag = rows["re"], rows["im"]
-    kind = header.get("kind", "wilkinson_sweep")
-    pattern, meta = _pattern_and_meta(header, dim_hint)
     cloud = PointCloud(
         points=points,
         source_eigen=rows["source_eigen"],
         angle_index=rows["angle_index"],
         sample_index=rows["sample_index"],
-        epsilon=float(header.get("epsilon", "0") or 0),
+        epsilon=float(header["epsilon"]),
         pattern=pattern,
-        kind=kind,
-        seed=int(header["seed"]) if header.get("seed") else None,
+        kind=header["kind"],
+        seed=int(header["seed"]) if header["seed"] else None,
         meta=meta,
     )
     return cloud, header
-
-
-def _pattern_and_meta(header: dict, dim_hint: int):
-    """The cloud's pattern and meta.  Files without a dim line (older
-    writers) carry neither and load with the full pattern at ``dim_hint``."""
-    extra = {k: json.loads(header[k]) for k in _CLOUD_KEYS if k in header}
-    if "dim" not in extra:
-        return StructurePattern("full", max(dim_hint, 2)), {}
-    pattern = pattern_from_dict({"kind": header.get("pattern", "full"), **extra}, extra["dim"])
-    # The angles and samples lines read 0 where the meta lacks them; sweeps
-    # and baselines always have at least one of each.
-    meta = {k: int(header[k]) for k in ("angles", "samples") if header.get(k, "0") != "0"}
-    if "pair" in extra:
-        meta["pair"] = tuple(extra["pair"])
-    if "steps" in extra:
-        meta["steps"] = extra["steps"]
-    return pattern, meta
 
 
 def grid_to_csv(field) -> str:

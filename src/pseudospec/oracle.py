@@ -116,6 +116,8 @@ def cloud_inclusion_check(cloud: PointCloud, A: np.ndarray, slack: float) -> Inc
     """Verify sigma_min(A - z I) <= eps * (1 + slack) for every cloud point."""
     if not 0.0 <= slack < np.inf:
         raise ValueError("slack must be finite and nonnegative")
+    if not 0.0 <= cloud.epsilon < np.inf:
+        raise ValueError("cloud epsilon must be finite and nonnegative")
     values = sigma_min_batch(np.asarray(A, dtype=complex), cloud.points)
     limit = cloud.epsilon * (1.0 + slack)
     ok = values <= limit

@@ -86,17 +86,20 @@ def pattern_to_dict(S: StructurePattern) -> dict:
 def pattern_from_dict(d, dim: int) -> StructurePattern:
     """The pattern of a structure object read from a file.
 
-    The object must have a string ``kind`` and, where given, a list of
-    integers ``support``, an integer ``n_half`` and a boolean ``real``;
-    anything else raises BadParams.
+    ``dim`` must be an integer, and the object must have a string ``kind``
+    and, where given, a list of integers ``support``, an integer ``n_half``
+    and a boolean ``real``; anything else raises BadParams.  JSON booleans
+    are not integers here.
     """
+    if type(dim) is not int:
+        raise BadParams(f"'dim' must be an integer, not {dim!r}")
     support = d.get("support", []) if isinstance(d, dict) else None
     if not (
         isinstance(d, dict)
         and isinstance(d.get("kind"), str)
         and isinstance(support, list)
-        and all(isinstance(k, int) for k in support)
-        and isinstance(d.get("n_half", 0), int)
+        and all(type(k) is int for k in support)
+        and type(d.get("n_half", 0)) is int
         and isinstance(d.get("real", False), bool)
     ):
         raise BadParams(

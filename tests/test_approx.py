@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -394,3 +396,12 @@ class TestCoverage:
 def test_non_finite_or_zero_epsilon_rejected(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         SweepConfig(pattern=full(2), epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+@pytest.mark.parametrize("bound", [abscissa_lower_bound, radius_lower_bound])
+def test_all_ones_bounds_reject_non_finite_epsilon(bound, epsilon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            bound(np.diag([0.0, 1.0]), epsilon, full(2))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -267,8 +268,9 @@ def test_non_finite_entries_exit_2(tmp_path, capsys, value, declared):
     {"n": 2, "entries": [["1", "0"], ["0", "0"], ["0"], ["1", "0"]]},
     {"n": 2, "entries": [["1", "0"], ["0", "0"], 0, ["1", "0"]]},
     {"n": 2, "entries": [["1", "0"], ["0", "0"], [None, "0"], ["1", "0"]]},
+    {"n": True, "entries": [["1", "0"]]},
 ], ids=["not-object", "no-n", "no-entries", "n-not-int", "entries-not-list",
-        "short-entry", "scalar-entry", "null-part"])
+        "short-entry", "scalar-entry", "null-part", "n-bool"])
 def test_malformed_matrix_file_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
@@ -353,8 +355,9 @@ def test_main_runs_the_module_command_at_call_time(monkeypatch, matrix_file):
     {"kind": "toeplitz", "support": [0, "1"]},
     {"kind": "hamiltonian", "n_half": 1.0},
     {"kind": "toeplitz", "support": [0], "real": "yes"},
+    {"kind": "toeplitz", "support": [-1, False, True]},
 ], ids=["empty", "support-not-list", "not-object", "kind-not-string",
-        "support-not-ints", "n_half-not-int", "real-not-bool"])
+        "support-not-ints", "n_half-not-int", "real-not-bool", "support-bools"])
 def test_malformed_structure_exit_2(tmp_path, capsys, structure):
     path = tmp_path / "m.json"
     io.save_matrix(str(path), np.eye(2))
@@ -403,3 +406,80 @@ def test_bad_numeric_flag_exit_2_before_any_write(
 def test_oracle_res_default_is_the_library_default():
     args = build_parser().parse_args(["oracle", "m.json"])
     assert args.res == "x".join(str(r) for r in pseudospec.oracle.DEFAULT_RESOLUTION)
+
+
+_REQUIRED_CLOUD_LINES = (
+    "epsilon", "pattern", "kind", "angles", "samples", "seed", "matrix_sha256", "dim",
+)
+# id -> (regex, replacement) applied to the first matching line of the sweep
+# CSV of the 5x5 ``matrix_file``; None checks a file that does not exist.
+_CLOUD_TAMPERING = {
+    "dim-string": (r"^# dim=5$", '# dim="5"'),
+    "dim-3-for-5x5": (r"^# dim=5$", "# dim=3"),
+    "epsilon-nan": (r"^# epsilon=.*$", "# epsilon=nan"),
+    **{f"no-{key}-line": (rf"^# {key}=.*\n", "") for key in _REQUIRED_CLOUD_LINES},
+    "no-column-line": (r"^re,im,.*\n", ""),
+    "missing-file": None,
+}
+
+
+def _tampered_cloud(matrix_file, tmp_path, edit):
+    path = tmp_path / "tampered.csv"
+    assert run("approx", matrix_file, "--angles", "4", "--out", path) == 0
+    text = path.read_text()
+    if edit is None:
+        path.unlink()
+    else:
+        tampered = re.sub(*edit, text, count=1, flags=re.MULTILINE)
+        assert tampered != text
+        path.write_text(tampered)
+    return path
+
+
+@pytest.mark.parametrize("edit", list(_CLOUD_TAMPERING.values()), ids=list(_CLOUD_TAMPERING))
+def test_tampered_cloud_exit_2_before_any_write(matrix_file, tmp_path, capsys, edit):
+    cloud = _tampered_cloud(matrix_file, tmp_path, edit)
+    capsys.readouterr()
+    grid = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("oracle", matrix_file, "--res", "20x20", "--check", cloud, "--out", grid)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not grid.exists()
+
+
+def test_tampered_cloud_module_run_exit_2_without_traceback(matrix_file, tmp_path):
+    cloud = _tampered_cloud(matrix_file, tmp_path, _CLOUD_TAMPERING["dim-string"])
+    env = dict(os.environ, PYTHONPATH=str(Path(pseudospec.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "pseudospec.cli", "oracle", str(matrix_file),
+         "--res", "20x20", "--check", str(cloud)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_oracle_bounds_grid_of_jordan_block(tmp_path):
+    # Defective, so eig_pairs fails on it; explicit bounds need no eigensolve.
+    J = np.eye(3, k=1)
+    path, grid = tmp_path / "jordan.json", tmp_path / "g.csv"
+    io.save_matrix(str(path), J)
+    assert run("oracle", path, "--bounds=-1,3,-2,2", "--res", "8x6",
+               "--eps-list", "0.1", "--out", grid) == 0
+    rows = np.loadtxt(grid, delimiter=",", skiprows=3)
+    assert rows.shape == (8 * 6, 3)
+    expected = [
+        np.linalg.svd(J - complex(re_, im) * np.eye(3), compute_uv=False)[-1]
+        for re_, im, _ in rows
+    ]
+    np.testing.assert_allclose(rows[:, 2], expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("flag", ["--res=10", "--bounds=0,1,2"])
+def test_oracle_flags_rejected_before_eigensolve(tmp_path, capsys, flag):
+    path = tmp_path / "zero.json"
+    io.save_matrix(str(path), np.zeros((3, 3)))
+    assert run("oracle", path, flag) == 2
+    assert capsys.readouterr().err.startswith("error: --")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,12 @@ def test_non_finite_slack_rejected(slack):
     cloud = sweep_wilkinson(A, eig_pairs(A), cfg)
     with pytest.raises(ValueError, match="slack"):
         cloud_inclusion_check(cloud, A, slack=slack)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -0.1])
+def test_non_finite_or_negative_cloud_epsilon_rejected(epsilon):
+    A = np.diag([0.0, 3.0])
+    cfg = SweepConfig(pattern=full(2), epsilon=0.1, angles=2, pair_override=(0, 1))
+    cloud = replace(sweep_wilkinson(A, eig_pairs(A), cfg), epsilon=epsilon)
+    with pytest.raises(ValueError, match="cloud epsilon"):
+        cloud_inclusion_check(cloud, A, slack=0.0)

@@ -19,8 +19,8 @@ from pseudospec import (
     toeplitz_support_of,
     tridiag_toeplitz,
 )
-from pseudospec.errors import DimensionMismatch, ZeroProjection
-from pseudospec.structures import _project_banded
+from pseudospec.errors import BadParams, DimensionMismatch, ZeroProjection
+from pseudospec.structures import _project_banded, pattern_from_dict
 
 RNG = np.random.default_rng(2024)
 
@@ -244,3 +244,14 @@ def test_project_banded_bitwise_equals_per_diagonal_loop():
             got = _project_banded(M, support, antidiagonal)
             ref = _project_banded_loop(M, support, antidiagonal)
             assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d,dim,named", [
+    ({"kind": "full"}, True, "dim"),
+    ({"kind": "full"}, "5", "dim"),
+    ({"kind": "hamiltonian", "n_half": True}, 2, "n_half"),
+    ({"kind": "toeplitz", "support": [-1, False, True]}, 3, "support"),
+], ids=["dim-bool", "dim-string", "n_half-bool", "support-bools"])
+def test_pattern_from_dict_rejects_non_integers(d, dim, named):
+    with pytest.raises(BadParams, match=named):
+        pattern_from_dict(d, dim)
