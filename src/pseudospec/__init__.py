@@ -19,7 +19,7 @@ from .numkernel import (
     Eigensystem,
     eig_pairs,
     hamiltonian_phase_normalize,
-    sigma_min,
+    sigma_min_batch,
     symplectic_j,
     toeplitz_matrix,
     tridiag_toeplitz,
@@ -29,7 +29,6 @@ from .oracle import (
     GridField,
     abscissa_grid,
     cloud_inclusion_check,
-    contains,
     grid_field,
 )
 from .sensitivity import (

@@ -32,7 +32,6 @@ RANDOM_BASELINE = "random_baseline"
 TRAJECTORY = "trajectory"
 
 DEFAULT_ANGLES = 1000
-COALESCENCE_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ def subcloud(cloud: PointCloud, sys: Eigensystem, i: int) -> np.ndarray:
 def coalescence_gap(cloud: PointCloud, sys: Eigensystem, pair: tuple) -> float:
     """Minimum distance between the two per-eigenvalue sub-clouds.
 
-    Values below ``COALESCENCE_FACTOR * epsilon`` indicate that the two
+    Values small against the sweep's epsilon indicate that the two
     pseudospectrum components have (nearly) coalesced.
     """
     matched = _component_match(cloud, sys)

@@ -137,18 +137,26 @@ def cmd_oracle(args) -> int:
     bounds = tuple(float(v) for v in args.bounds.split(",")) if args.bounds else None
     if bounds and len(bounds) != 4:
         raise BadParams("--bounds expects re_min,re_max,im_min,im_max")
+    if bounds and not (
+        np.isfinite(bounds).all() and bounds[0] < bounds[1] and bounds[2] < bounds[3]
+    ):
+        raise BadParams("--bounds must be finite, with re_max > re_min and im_max > im_min")
     resolution = tuple(int(r) for r in args.res.split("x"))
     if len(resolution) != 2:
         raise BadParams("--res expects NxM")
+    if min(resolution) < 2:
+        raise BadParams("--res must be at least 2x2")
     A, _ = io.load_matrix(args.matrix)
     if args.check:
         cloud, header = io.load_cloud(args.check, dim_hint=A.shape[0])
         if header["matrix_sha256"] != io.matrix_hash(args.matrix):
             raise BadParams("cloud file was generated from a different matrix")
 
-    if bounds is None:
-        bounds = oracle.default_window(eig_pairs(A), max(eps_list, default=1e-2))
-    field = oracle.grid_field(A, bounds, resolution)
+    # The window and the grid only feed --out and --eps-list.
+    if args.out or eps_list:
+        if bounds is None:
+            bounds = oracle.default_window(eig_pairs(A), max(eps_list, default=1e-2))
+        field = oracle.grid_field(A, bounds, resolution)
     # Before any write, so a cloud the check rejects leaves no --out file.
     report = oracle.cloud_inclusion_check(cloud, A, slack=args.slack) if args.check else None
     if args.out:

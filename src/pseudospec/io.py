@@ -96,6 +96,8 @@ def load_matrix(path: str):
     n, entries = doc.get("n"), doc.get("entries")
     if type(n) is not int or not isinstance(entries, list):
         raise BadParams("a matrix file needs an integer 'n' and a list of 'entries'")
+    if n < 0:
+        raise BadParams(f"'n' must be nonnegative, found {n}")
     if len(entries) != n * n:
         raise BadParams(f"expected {n * n} entries, found {len(entries)}")
     try:

@@ -37,18 +37,21 @@ class Eigensystem:
     """Matched triples (lambda_i, x_i, y_i) with unit eigenvectors.
 
     ``rights[:, i]`` and ``lefts[:, i]`` are the right and left eigenvectors
-    of ``eigenvalues[i]``; ``overlaps[i] = y_i^H x_i``.
+    of ``eigenvalues[i]``; ``overlaps[i] = y_i^H x_i`` is derived from them.
     """
 
     eigenvalues: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
-    overlaps: np.ndarray
     min_gap: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def overlaps(self) -> np.ndarray:
+        return _column_dots(self.lefts, self.rights)
 
 
 def _validate_square(A: np.ndarray) -> np.ndarray:
@@ -80,7 +83,7 @@ def _min_pairwise_gap(w: np.ndarray) -> float:
 
 
 def _normalized_triples(rights: np.ndarray, lefts: np.ndarray):
-    """Unit eigenvectors with fixed phases; returns ``(rights, lefts, overlaps)``.
+    """Unit eigenvectors with fixed phases; returns ``(rights, lefts)``.
 
     Each right vector is turned so its largest-modulus component is real
     positive, and each left vector so that y^H x is real positive (a left
@@ -91,7 +94,7 @@ def _normalized_triples(rights: np.ndarray, lefts: np.ndarray):
     pivots = X[np.argmax(np.abs(X), axis=0), np.arange(X.shape[1])]
     X *= np.conj(_unit_phases(pivots))
     Y *= _unit_phases(_column_dots(Y, X))
-    return X, Y, _column_dots(Y, X)
+    return X, Y
 
 
 def eig_pairs(A: np.ndarray) -> Eigensystem:
@@ -130,7 +133,7 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     # eigenvalues with equal real parts (e.g. conjugate pairs)
     order = np.lexsort((w.real, w.imag, np.round(w.real / (1e-10 * norm_b))))
     w = w[order]
-    rights, lefts, overlaps = _normalized_triples(vr[:, order], vl[:, order])
+    rights, lefts = _normalized_triples(vr[:, order], vl[:, order])
 
     res_r = np.linalg.norm(B @ rights - rights * w[None, :], axis=0)
     res_l = np.linalg.norm(B.conj().T @ lefts - lefts * np.conj(w)[None, :], axis=0)
@@ -144,7 +147,6 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
         eigenvalues=np.ldexp(w.view(float), e).view(complex),
         rights=rights,
         lefts=lefts,
-        overlaps=overlaps,
         min_gap=float(np.ldexp(gap, e)),
     )
 
@@ -167,15 +169,9 @@ def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
         raise DimensionMismatch(
             f"eigensystem dimension {sys.dim} != 2 * {n_half}"
         )
-    Y, X = sys.lefts, sys.rights
     # y -> e^{i arg(c)} y sends c = y^H J x to |c| (real, nonnegative).
-    lefts = Y * _unit_phases(_column_dots(Y, symplectic_j(n_half) @ X))
-    return replace(sys, lefts=lefts, overlaps=_column_dots(lefts, X))
-
-
-def sigma_min(A: np.ndarray, z: complex) -> float:
-    """Smallest singular value of A - z I."""
-    return float(sigma_min_batch(A, [z])[0])
+    c = _column_dots(sys.lefts, symplectic_j(n_half) @ sys.rights)
+    return replace(sys, lefts=sys.lefts * _unit_phases(c))
 
 
 def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -242,12 +238,11 @@ def tridiag_toeplitz_reference(
 
     order = np.lexsort((w.imag, w.real))
     w = w[order]
-    rights, lefts, overlaps = _normalized_triples(rights[:, order], lefts[:, order])
+    rights, lefts = _normalized_triples(rights[:, order], lefts[:, order])
 
     return Eigensystem(
         eigenvalues=w,
         rights=rights,
         lefts=lefts,
-        overlaps=overlaps,
         min_gap=_min_pairwise_gap(w),
     )

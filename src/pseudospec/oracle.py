@@ -83,22 +83,6 @@ def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridFiel
     return field
 
 
-def _cell_of(field: GridField, z: complex) -> tuple:
-    re_min, re_max, im_min, im_max = field.bounds
-    if not (re_min <= z.real <= re_max and im_min <= z.imag <= im_max):
-        raise OutOfBounds(f"point {z} outside window {field.bounds}")
-    n_re, n_im = field.resolution
-    i = min(int((z.real - re_min) / (re_max - re_min) * n_re), n_re - 1)
-    j = min(int((z.imag - im_min) / (im_max - im_min) * n_im), n_im - 1)
-    return i, j
-
-
-def contains(field: GridField, z: complex, epsilon: float) -> bool:
-    """Pseudospectrum membership at grid resolution (nearest cell)."""
-    i, j = _cell_of(field, complex(z))
-    return bool(field.values[i, j] <= epsilon)
-
-
 @dataclass(frozen=True)
 class InclusionReport:
     total: int

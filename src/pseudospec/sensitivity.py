@@ -43,7 +43,6 @@ class SensitivityReport:
     epsilon_structured: float
     pair: tuple
     pair_structured: tuple
-    pattern: StructurePattern
 
 
 def _complex_pattern(S: StructurePattern) -> StructurePattern:
@@ -73,8 +72,9 @@ def kappas(sys: Eigensystem, S: StructurePattern) -> np.ndarray:
     """
     sys = _rephased(sys, S)
     _check_overlaps(sys, range(sys.dim))
+    o = sys.overlaps
     # hypot rounds like the scalar |o|; np.abs on complex arrays may not
-    moduli = np.hypot(sys.overlaps.real, sys.overlaps.imag)
+    moduli = np.hypot(o.real, o.imag)
     if S.kind == FULL:
         return 1.0 / moduli
     return projection_norms(sys.lefts, sys.rights, _complex_pattern(S)) / moduli
@@ -145,5 +145,4 @@ def analyze(sys: Eigensystem, S: StructurePattern) -> SensitivityReport:
         epsilon_structured=eps_s,
         pair=pair,
         pair_structured=pair_s,
-        pattern=S,
     )

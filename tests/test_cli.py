@@ -386,8 +386,10 @@ def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
     (["oracle", "--bounds", "0,1,0,inf", "--out", "g.csv"], "bounds", ["g.csv"]),
     (["oracle", "--eps-list", "-1", "--out", "g.csv"], "eps-list", ["g.csv"]),
     (["oracle", "--eps-list", "0", "--out", "g.csv"], "eps-list", ["g.csv"]),
+    (["oracle", "--bounds=0,1,0,inf", "--check", "cloud.csv"], "bounds", []),
+    (["oracle", "--res", "1x1", "--check", "cloud.csv"], "res", []),
 ], ids=["epsilon-nan", "epsilon-inf", "baseline-negative", "slack-nan", "bounds-inf",
-        "eps-list-negative", "eps-list-zero"])
+        "eps-list-negative", "eps-list-zero", "check-bounds-inf", "check-res-1x1"])
 def test_bad_numeric_flag_exit_2_before_any_write(
     matrix_file, tmp_path, capsys, monkeypatch, argv, named, outputs
 ):
@@ -401,6 +403,7 @@ def test_bad_numeric_flag_exit_2_before_any_write(
     assert code == 2
     assert err.startswith("error: ") and named in err
     assert not any((tmp_path / name).exists() for name in outputs)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv", "m.json"]
 
 
 def test_oracle_res_default_is_the_library_default():
@@ -477,9 +480,34 @@ def test_oracle_bounds_grid_of_jordan_block(tmp_path):
     np.testing.assert_allclose(rows[:, 2], expected, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("flag", ["--res=10", "--bounds=0,1,2"])
+@pytest.mark.parametrize("flag", ["--res=10", "--bounds=0,1,2", "--res=1x1", "--bounds=1,0,0,1"])
 def test_oracle_flags_rejected_before_eigensolve(tmp_path, capsys, flag):
     path = tmp_path / "zero.json"
     io.save_matrix(str(path), np.zeros((3, 3)))
     assert run("oracle", path, flag) == 2
     assert capsys.readouterr().err.startswith("error: --")
+
+
+def test_negative_n_exit_2_names_n(tmp_path, capsys):
+    # n * n = 1 matches the one entry, so only the sign of n can reject it.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": -1, "entries": [["1", "0"]]}))
+    assert run("analyze", path) == 2
+    assert capsys.readouterr().err.startswith("error: 'n' must be nonnegative")
+
+
+def test_oracle_check_alone_computes_no_grid(matrix_file, tmp_path, capsys, monkeypatch):
+    cloud = tmp_path / "cloud.csv"
+    assert run("approx", matrix_file, "--angles", "20", "--out", cloud) == 0
+    assert run("oracle", matrix_file, "--res", "20x20", "--check", cloud,
+               "--out", tmp_path / "g.csv") == 0
+    with_grid = capsys.readouterr().out.splitlines()[-1]
+    assert with_grid.startswith("inclusion check: pass 100.0%")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("no output reads the window or the grid")
+
+    monkeypatch.setattr(pseudospec.oracle, "grid_field", no_grid)
+    monkeypatch.setattr(cli, "eig_pairs", no_grid)
+    assert run("oracle", matrix_file, "--check", cloud) == 0
+    assert capsys.readouterr().out.splitlines() == [with_grid]

@@ -8,7 +8,6 @@ from pseudospec import (
     abscissa_grid,
     abscissa_lower_bound,
     cloud_inclusion_check,
-    contains,
     eig_pairs,
     full,
     grid_field,
@@ -53,20 +52,6 @@ class TestGridField:
         w = sys.eigenvalues
         assert re_min < w.real.min() and re_max > w.real.max()
         assert im_min < w.imag.min() and im_max > w.imag.max()
-
-
-class TestContains:
-    def test_membership_by_distance(self):
-        A = np.diag([0.0, 10.0])
-        field = grid_field(A, (-1.0, 1.0, -1.0, 1.0), (200, 200))
-        assert contains(field, 0.05, 0.1)
-        assert not contains(field, 0.5, 0.1)
-        assert contains(field, 0.3j, 0.35)
-
-    def test_out_of_window(self):
-        field = grid_field(np.eye(2), (0.0, 1.0, 0.0, 1.0), (4, 4))
-        with pytest.raises(OutOfBounds):
-            contains(field, 2.0 + 0.5j, 0.1)
 
 
 class TestCloudInclusion:

@@ -311,7 +311,6 @@ class TestCoalescenceEstimate:
             eigenvalues=sys.eigenvalues[:1],
             rights=sys.rights[:, :1],
             lefts=sys.lefts[:, :1],
-            overlaps=sys.overlaps[:1],
         )
         with pytest.raises(DegenerateSpectrum):
             coalescence_estimate(lone, full(2))
