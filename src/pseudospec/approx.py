@@ -89,10 +89,10 @@ def resolve_pair_and_epsilon(sys: Eigensystem, cfg: SweepConfig):
 def _perturbed_spectra(A: np.ndarray, directions, scales: np.ndarray):
     """Spectra of A + c * D for every direction D and every scale c.
 
-    One stacked eigensolve over the flattened (direction x scale) axis,
-    chunked to ``numkernel.STACK_ENTRIES`` matrix entries; each spectrum is
-    sorted by (Re, Im).  Returns the points and, parallel to them, the
-    direction index and the scale index of each point.
+    Stacked eigensolves over the flattened (direction x scale) axis, in
+    slices run by ``numkernel._stacked``; each spectrum is sorted by
+    (Re, Im).  Returns the points and, parallel to them, the direction
+    index and the scale index of each point.
     """
     D = np.asarray(directions, dtype=complex)
     n = A.shape[0]
@@ -100,15 +100,16 @@ def _perturbed_spectra(A: np.ndarray, directions, scales: np.ndarray):
     d_idx = np.repeat(np.arange(m), K)
     k_idx = np.tile(np.arange(K), m)
     spectra = np.empty((m * K, n), dtype=complex)
-    chunk = max(1, numkernel.STACK_ENTRIES // (n * n))
-    for start in range(0, m * K, chunk):
-        rows = slice(start, start + chunk)
-        # One buffer per chunk: gather, scale in place, add A.  The scale
+
+    def work(rows):
+        # One buffer per slice: gather, scale in place, add A.  The scale
         # stays the first factor, so each product rounds exactly as c * D.
         stack = D[d_idx[rows]]
         np.multiply(scales[k_idx[rows], None, None], stack, out=stack)
         stack += A
         spectra[rows] = np.linalg.eigvals(stack)
+
+    numkernel._stacked(work, m * K, n)
     order = np.lexsort((spectra.imag, spectra.real))
     points = np.take_along_axis(spectra, order, axis=1).ravel()
     return points, np.repeat(d_idx, n), np.repeat(k_idx, n)

@@ -42,6 +42,19 @@ def _resolve_pattern(flag: str, declared, A):
     return structures.hamiltonian(dim // 2, real=real)
 
 
+def _flag_values(flag: str, text: str, sep: str, convert, form: str) -> tuple:
+    """The ``sep``-separated values of a flag, each passed through
+    ``convert``; BadParams naming the flag unless there are as many as
+    ``form`` shows and each converts."""
+    try:
+        values = tuple(convert(v) for v in text.split(sep))
+    except ValueError:
+        values = None
+    if values is None or len(values) != len(form.split(sep)):
+        raise BadParams(f"{flag} expects {form}")
+    return values
+
+
 def cmd_generate(args) -> int:
     A, pattern, params = families.generate(args.family, args.n, args.seed)
     generator = {"family": args.family, "seed": args.seed, "n": args.n, "params": params}
@@ -89,12 +102,9 @@ def cmd_analyze(args) -> int:
 def cmd_approx(args) -> int:
     if args.baseline < 0:
         raise BadParams("--baseline must be nonnegative")
+    pair = _flag_values("--pair", args.pair, ",", int, "i,j") if args.pair else None
     A, declared = io.load_matrix(args.matrix)
     pattern = _resolve_pattern(args.structure, declared, A)
-    pair = None
-    if args.pair:
-        i_s, _, j_s = args.pair.partition(",")
-        pair = (int(i_s), int(j_s))
     # Built before the eigensolve, so a bad --epsilon or --angles fails first.
     cfg = approx_mod.SweepConfig(
         pattern=pattern, epsilon=args.epsilon, angles=args.angles, pair_override=pair
@@ -134,18 +144,16 @@ def cmd_oracle(args) -> int:
         raise BadParams("--eps-list values must be finite and positive")
     if not 0.0 <= args.slack < np.inf:
         raise BadParams("--slack must be finite and nonnegative")
-    bounds = tuple(float(v) for v in args.bounds.split(",")) if args.bounds else None
-    if bounds and len(bounds) != 4:
-        raise BadParams("--bounds expects re_min,re_max,im_min,im_max")
-    if bounds and not (
-        np.isfinite(bounds).all() and bounds[0] < bounds[1] and bounds[2] < bounds[3]
-    ):
-        raise BadParams("--bounds must be finite, with re_max > re_min and im_max > im_min")
-    resolution = tuple(int(r) for r in args.res.split("x"))
-    if len(resolution) != 2:
-        raise BadParams("--res expects NxM")
+    bounds = None
+    if args.bounds:
+        bounds = _flag_values("--bounds", args.bounds, ",", float, "re_min,re_max,im_min,im_max")
+        if not (np.isfinite(bounds).all() and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+            raise BadParams("--bounds must be finite, with re_max > re_min and im_max > im_min")
+    resolution = _flag_values("--res", args.res, "x", int, "NxM")
     if min(resolution) < 2:
         raise BadParams("--res must be at least 2x2")
+    if not (args.out or eps_list or args.check):
+        raise BadParams("oracle needs at least one of --out, --eps-list and --check")
     A, _ = io.load_matrix(args.matrix)
     if args.check:
         cloud, header = io.load_cloud(args.check, dim_hint=A.shape[0])
@@ -163,8 +171,15 @@ def cmd_oracle(args) -> int:
         io.save_grid(args.out, field)
         print(f"wrote {args.out}")
 
+    # An empty level set stops the abscissa lines but is raised only after
+    # the inclusion line, so a run with both still reports its verdict.
+    empty = None
     for eps in eps_list:
-        value, unc = oracle.abscissa_grid(field, eps)
+        try:
+            value, unc = oracle.abscissa_grid(field, eps)
+        except EmptyLevelSet as exc:
+            empty = exc
+            break
         print(f"eps={eps:.6e}: abscissa={value:.6e} +/- {unc:.3e}")
 
     if report is not None:
@@ -173,8 +188,10 @@ def cmd_oracle(args) -> int:
             f"inclusion check: pass {pct:.1f}% ({report.passed}/{report.total}), "
             f"worst sigma_min={report.worst_value:.6e}"
         )
-        if not report.all_passed:
-            raise EmptyLevelSet("cloud inclusion check failed")
+    if empty is not None:
+        raise empty
+    if report is not None and not report.all_passed:
+        raise EmptyLevelSet("cloud inclusion check failed")
     return 0
 
 

@@ -216,11 +216,12 @@ def grid_to_csv(field) -> str:
         f"# resolution={n_re}x{n_im}",
         "re,im,sigma_min",
     ]
-    rows = format_rows(
-        "%.17g,%.17g,%.17g\n",
-        np.repeat(field.re_centers, n_im),
-        np.tile(field.im_centers, n_re),
-        field.values.ravel(),
+    # Each cell centre is formatted once: row i of the grid is the template
+    # "re_i,im_j,%.17g\n" over j, so only sigma_min goes through %.17g.
+    cells = [f",{_fmt(im)},%.17g\n" for im in field.im_centers]
+    rows = "".join(
+        (re_s + re_s.join(cells)) % tuple(values.tolist())
+        for re_s, values in zip(map(_fmt, field.re_centers), field.values)
     )
     return "\n".join(lines) + "\n" + rows
 

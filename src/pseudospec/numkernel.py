@@ -13,6 +13,7 @@ every norm finite.  Conventions:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,9 +28,84 @@ from .errors import (
 
 TOL_EIG = 1e-10
 GAP_TOL_FACTOR = 1e-8
-# Entry budget of one stacked LAPACK call (stacked SVDs here, stacked
-# eigensolves in the sweep engine), so the workspace stays modest.
-STACK_ENTRIES = 2_000_000
+# Entry budget of one slice of a stacked LAPACK call (stacked SVDs here,
+# stacked eigensolves in the sweep engine): 2**15 complex entries, 512 KiB.
+# approx.directed_coverage_distance reads it as its block size too.
+STACK_ENTRIES = 2**15
+
+# numpy runs a stacked LAPACK loop without the GIL only when it writes more
+# than this many values.
+_GIL_FREE_VALUES = 500
+
+# Usable CPUs.  A stack that splits runs on the calling thread and up to
+# _WORKERS - 1 threads of a pool sized to the CPUs.  The pool is created on
+# the first such stack; a forked child starts without one, as none of its
+# parent's threads exist in it.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_pool = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _stacked(work, count: int, n: int) -> None:
+    """Call ``work(rows)`` on consecutive slices ``rows`` of ``range(count)``.
+
+    Each slice holds at most ``STACK_ENTRIES // n**2`` matrices of size
+    n x n, about a quarter of one worker's share, and more than
+    ``_GIL_FREE_VALUES / n`` of them where the budget allows: smaller slices
+    would hold the GIL and run one after the other.  The calling thread and
+    up to ``_WORKERS - 1`` pool threads take the slices in order, each the
+    next one as it becomes free, so a late or slow thread leaves its share
+    to the others; with one slice or one usable CPU the calling thread runs
+    them all.  ``work`` fills only its own rows of a preallocated output and
+    calls nothing but numpy.  When a slice fails, no thread takes another,
+    and the first error in slice order is raised, a LinAlgError as
+    NonConvergence.
+    """
+    global _pool
+    budget = max(1, STACK_ENTRIES // (n * n))
+    size = min(budget, max(_GIL_FREE_VALUES // n + 1, -(-count // (4 * _WORKERS))))
+    starts = iter(range(0, count, size))  # next() is atomic under the GIL
+    errors = {}
+
+    def drain():
+        for start in starts:
+            try:
+                work(slice(start, min(start + size, count)))
+            except BaseException as exc:
+                errors[start] = exc
+                for _ in starts:  # cancel the slices no thread has taken
+                    pass
+
+    helpers = []
+    threads = min(_WORKERS, -(-count // size))
+    if threads > 1:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="pseudospec")
+        helpers = [_pool.submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+        for helper in helpers:
+            helper.result()
+    finally:
+        for _ in starts:  # interrupted while waiting: cancel the rest
+            pass
+    if errors:
+        exc = errors[min(errors)]
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise NonConvergence(str(exc)) from exc
+        raise exc
 
 
 @dataclass(frozen=True)
@@ -180,17 +256,66 @@ def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex).ravel()
     n = A.shape[0]
     out = np.empty(zs.shape[0])
-    eye = np.eye(n)
-    chunk = max(1, STACK_ENTRIES // (n * n))
-    for start in range(0, zs.shape[0], chunk):
-        zc = zs[start : start + chunk]
-        stack = A[None, :, :] - zc[:, None, None] * eye[None, :, :]
-        try:
-            s = np.linalg.svd(stack, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(str(exc)) from exc
-        out[start : start + chunk] = s[:, -1]
+
+    def work(rows):
+        # One buffer per slice: copies of A with z taken off the diagonal.
+        stack = np.repeat(A[None], rows.stop - rows.start, axis=0)
+        stack.reshape(-1, n * n)[:, :: n + 1] -= zs[rows, None]
+        out[rows] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+    _stacked(work, zs.shape[0], n)
     return out
+
+
+def _sigma_min_bounds(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Upper bounds beta(z) >= sigma_min(A - z I) for a flat array of points.
+
+    One complex Schur form B = Z T Z^H of B = A / 2^e (2^e as in
+    :func:`eig_pairs`; exact, so nothing overflows or underflows) serves
+    every point: sigma_min(A - z I) = sigma_min(T - z I).  Two steps of
+    inverse iteration on (T - z I)^H (T - z I), with the triangular solves
+    run row by row for all points at once, give a vector w, and
+
+        beta(z) = ||(T - z I) w|| / ||w|| + 4 n u (||T||_F + |z| + ||B||_F),
+
+    scaled back by 2^e.  The residual quotient is an upper bound for
+    sigma_min(T - z I) for any w != 0.  The budget covers three roundings,
+    each a small multiple of n u times the norms it names: the residual
+    itself (n u (||T||_F + |z|) ||w||), the backward error of the Schur
+    form (A + E = Z T Z^H with ||E||_2 <= p(n) u ||A||_F), and the SVD in
+    :func:`sigma_min_batch`, whose computed sigma_min lies within
+    p(n) u ||A - z I||_2 of the exact one.  So beta(z) also bounds the
+    sigma_min that :func:`sigma_min_batch` returns.  Unless A = 0,
+    ||B||_F >= 1/2, so the budget is at least 2 n u and also covers
+    underflow in the residual and in z / 2^e.
+    A non-finite beta (z an eigenvalue, or so close that the solves
+    overflow) is returned as +inf.
+    """
+    A = _validate_square(A)
+    zs = np.asarray(zs, dtype=complex).ravel()
+    n = A.shape[0]
+    e = int(np.frexp(np.abs(A.view(float)).max())[1])
+    B = np.ldexp(A.view(float), -e).view(complex)
+    z = np.ldexp(zs.view(float), -e).view(complex)
+    T = scipy.linalg.schur(B, output="complex", check_finite=False)[0]
+    diag = np.diagonal(T)[None, :] - z[:, None]
+    w = np.ones((z.shape[0], n), dtype=complex)
+    y = np.empty_like(w)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(2):
+            # (T - z I)^H y = w, forward substitution
+            for i in range(n):
+                y[:, i] = (w[:, i] - y[:, :i] @ T[:i, i].conj()) / diag[:, i].conj()
+            y /= np.linalg.norm(y, axis=1)[:, None]
+            # (T - z I) w = y, back substitution
+            for i in reversed(range(n)):
+                w[:, i] = (y[:, i] - w[:, i + 1 :] @ T[i, i + 1 :]) / diag[:, i]
+            w /= np.linalg.norm(w, axis=1)[:, None]
+        residual = np.linalg.norm(w @ T.T - z[:, None] * w, axis=1) / np.linalg.norm(w, axis=1)
+        u = np.finfo(float).eps / 2
+        budget = 4 * n * u * (np.linalg.norm(T) + np.abs(z) + np.linalg.norm(B))
+        beta = np.ldexp(residual + budget, e)
+    return np.where(np.isfinite(beta), beta, np.inf)
 
 
 def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from pseudospec import (
 )
 from pseudospec import numkernel
 from pseudospec.approx import _component_match
-from pseudospec.errors import DegenerateSpectrum
+from pseudospec.errors import DegenerateSpectrum, NonConvergence
 from pseudospec.families import FAMILIES, generate
 
 
@@ -285,6 +286,47 @@ class TestBatchedEngine:
         # 7 matrices per stacked call: chunk edges fall inside each direction
         monkeypatch.setattr(numkernel, "STACK_ENTRIES", 7 * 6 * 6)
         self._check(A, pattern)
+
+    @pytest.mark.parametrize("A,S", _family_cases())
+    def test_matches_with_any_worker_count(self, engine_workers, monkeypatch, A, S):
+        n = A.shape[0]
+        # 7 matrices per slice: slice edges fall inside each direction
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 7 * n * n)
+        self._check(A, S)
+
+    def test_slices_stay_within_budget(self, engine_workers, monkeypatch):
+        A, pattern, _ = generate("hamiltonian_random", 6, seed=4)
+        sys = eig_pairs(A)
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 5 * 36)
+        sizes = []
+        eigvals = np.linalg.eigvals
+
+        def recording_eigvals(stack):
+            sizes.append(stack.shape[0])
+            return eigvals(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        sweep = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=13))
+        assert sum(sizes) == 2 * 13 and max(sizes) <= 5
+        sizes.clear()
+        random_cloud(A, SweepConfig(pattern=pattern, epsilon=sweep.epsilon, angles=13), 3, 0)
+        assert sum(sizes) == 3 * 13 and max(sizes) <= 5
+
+    def test_linalg_error_in_one_slice_is_nonconvergence(self, engine_workers, monkeypatch):
+        A, pattern, _ = generate("pentadiag_toeplitz", 6, seed=4)
+        sys = eig_pairs(A)
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 4 * 36)
+        calls = itertools.count()
+        eigvals = np.linalg.eigvals
+
+        def failing_eigvals(stack):
+            if next(calls) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(stack)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=20))
 
     def test_trajectories_match_per_eigenvalue_loop(self):
         A, pattern, _ = generate("hamiltonian_random", 6, seed=4)

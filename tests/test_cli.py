@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pseudospec
-from pseudospec import cli, errors, families, full, hamiltonian, hankel, io, toeplitz
+from pseudospec import cli, errors, families, full, hamiltonian, hankel, io, numkernel, toeplitz
 from pseudospec.cli import STRUCTURE_CHOICES, _resolve_pattern, build_parser, main
 from pseudospec.errors import BadParams
 from pseudospec.families import generate
@@ -511,3 +512,73 @@ def test_oracle_check_alone_computes_no_grid(matrix_file, tmp_path, capsys, monk
     monkeypatch.setattr(cli, "eig_pairs", no_grid)
     assert run("oracle", matrix_file, "--check", cloud) == 0
     assert capsys.readouterr().out.splitlines() == [with_grid]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "--res=10x", "--check", "c.csv"], "--res expects NxM"),
+    (["oracle", "--bounds=0,1,a,b", "--out", "g.csv"],
+     "--bounds expects re_min,re_max,im_min,im_max"),
+    (["approx", "--pair=1", "--out", "c.csv"], "--pair expects i,j"),
+], ids=["res-10x", "bounds-letters", "pair-one-index"])
+def test_malformed_flag_value_names_the_flag(matrix_file, tmp_path, capsys, monkeypatch,
+                                             argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv[0], matrix_file, *argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["m.json"]
+
+
+def test_oracle_without_output_exit_2_before_loading(tmp_path, capsys):
+    assert run("oracle", tmp_path / "missing.json") == 2
+    assert capsys.readouterr().err == (
+        "error: oracle needs at least one of --out, --eps-list and --check\n"
+    )
+
+
+def test_empty_level_set_still_prints_the_inclusion_verdict(matrix_file, tmp_path, capsys):
+    cloud = tmp_path / "c.csv"
+    assert run("approx", matrix_file, "--angles", "20", "--out", cloud) == 0
+    capsys.readouterr()
+    assert run("oracle", matrix_file, "--res", "20x20", "--check", cloud) == 0
+    verdict = capsys.readouterr().out
+    assert verdict.startswith("inclusion check: pass 100.0% (200/200)")
+    assert run("oracle", matrix_file, "--res", "20x20", "--eps-list", "0.5", "1e-9",
+               "--check", cloud) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [verdict.strip()]
+    assert out.startswith("eps=5.000000e-01: abscissa=")
+    assert err == "numeric failure: epsilon level set does not intersect the window\n"
+
+
+def test_linalg_error_in_a_worker_slice_exit_3(engine_workers, monkeypatch, matrix_file,
+                                              tmp_path, capsys):
+    monkeypatch.setattr(numkernel, "STACK_ENTRIES", 4 * 25)
+    calls = itertools.count()
+    eigvals = np.linalg.eigvals
+
+    def failing_eigvals(stack):
+        if next(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    out = tmp_path / "c.csv"
+    assert run("approx", matrix_file, "--angles", "20", "--out", out) == 3
+    assert capsys.readouterr().err == "numeric failure: Eigenvalues did not converge\n"
+    assert not out.exists()
+
+
+def test_cli_import_and_parser_start_no_thread():
+    # scipy.linalg imports concurrent.futures itself; the executor module
+    # and the pool's threads come only with the first stack that splits.
+    env = dict(os.environ, PYTHONPATH=str(Path(pseudospec.__file__).parents[1]))
+    code = (
+        "import sys, threading, pseudospec.cli as cli; cli.build_parser(); "
+        "from pseudospec import numkernel; "
+        "print(threading.active_count(), 'concurrent.futures.thread' in sys.modules, "
+        "numkernel._pool)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["1", "False", "None"]

@@ -4,6 +4,7 @@ round trips through the numpy readers."""
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,23 @@ def test_grid_rows_match_per_row_format(shape, bounds, data):
         for j in range(shape[1])
     )
     assert _body(io.grid_to_csv(field), "re,im,sigma_min") == expected
+
+
+@pytest.mark.parametrize("shape", [(50, 50), (1, 7), (7, 1), (3, 4)])
+def test_grid_csv_matches_the_three_column_formatter(shape):
+    rng = np.random.default_rng(shape[0])
+    values = rng.standard_normal(shape) ** 2
+    values.flat[0] = 0.0
+    values.flat[-1] = 1e-310
+    field = GridField(bounds=(-1.3, 2.7, -1e-300, 3e300), resolution=shape, values=values)
+    text = io.grid_to_csv(field)
+    rows = io.format_rows(
+        "%.17g,%.17g,%.17g\n",
+        np.repeat(field.re_centers, shape[1]),
+        np.tile(field.im_centers, shape[0]),
+        values.ravel(),
+    )
+    assert _body(text, "re,im,sigma_min") == rows
 
 
 coordinates = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1.5, 1.5))

@@ -1,4 +1,11 @@
+import itertools
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from pseudospec import (
     full,
     hamiltonian_phase_normalize,
     kappas,
+    numkernel,
     sigma_min_batch,
     symplectic_j,
     tridiag_toeplitz,
@@ -19,10 +27,11 @@ from pseudospec import (
 from pseudospec.errors import (
     DefectiveInput,
     DimensionMismatch,
+    NonConvergence,
     ZeroOffdiagonal,
 )
-from pseudospec.families import generate
-from pseudospec.numkernel import _normalized_triples
+from pseudospec.families import FAMILIES, generate
+from pseudospec.numkernel import _normalized_triples, _sigma_min_bounds
 
 U = np.finfo(float).eps / 2
 
@@ -324,3 +333,217 @@ def test_normalized_triples_match_per_column_loop(n):
     # y^H x of unit vectors rounds to within n u
     o = overlaps[1:]
     assert np.all(o.real > 0) and np.all(np.abs(o.imag) <= n * U)
+
+
+class TestSliceRunner:
+    """numkernel._stacked: slices within the entry budget, equal results for
+    any worker count, typed errors from any slice."""
+
+    @staticmethod
+    def _points(n):
+        rng = np.random.default_rng(n)
+        return rng.standard_normal(n * 7) + 1j * rng.standard_normal(n * 7)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_sigma_min_batch_matches_per_point_svd(self, engine_workers, monkeypatch, n):
+        A, _, _ = generate("pentadiag_toeplitz", n, seed=3)
+        zs = self._points(n)
+        # 3 matrices per slice: slice edges fall anywhere in the batch
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 3 * n * n)
+        expected = [np.linalg.svd(A - z * np.eye(n), compute_uv=False)[-1] for z in zs]
+        assert np.array_equal(sigma_min_batch(A, zs), np.array(expected))
+
+    def test_slices_stay_within_budget(self, engine_workers, monkeypatch):
+        n, budget = 6, 5
+        A, _, _ = generate("hamiltonian_random", n, seed=1)
+        zs = self._points(n)
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", budget * n * n + n)
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(stack, **kwargs):
+            seen.append((stack.shape[0], threading.current_thread().name))
+            return svd(stack, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        sigma_min_batch(A, zs)
+        sizes = [size for size, _ in seen]
+        assert sum(sizes) == zs.size and max(sizes) == budget
+        threads = {name for _, name in seen} - {threading.current_thread().name}
+        assert all(name.startswith("pseudospec") for name in threads)
+        assert len(threads) <= engine_workers - 1
+
+    @pytest.mark.parametrize("count,n,expected", [
+        # a quarter of each worker's share, within the budget
+        (2500, 5, [(s, min(s + 313, 2500)) for s in range(0, 2500, 313)]),
+        (2500, 10, [(s, min(s + 313, 2500)) for s in range(0, 2500, 313)]),
+        (1000, 40, [(s, s + 20) for s in range(0, 1000, 20)]),  # budget 20
+        # no smaller than 101 matrices of 5 values, which release the GIL
+        (500, 5, [(s, min(s + 101, 500)) for s in range(0, 500, 101)]),
+        (150, 5, [(0, 101), (101, 150)]),
+        (1, 40, [(0, 1)]),
+        (0, 5, []),
+    ])
+    def test_slice_layout(self, monkeypatch, count, n, expected):
+        monkeypatch.setattr(numkernel, "_WORKERS", 2)
+        seen = []
+        numkernel._stacked(seen.append, count, n)
+        assert sorted((s.start, s.stop) for s in seen) == expected
+
+    def test_one_worker_runs_every_slice_inline(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "_WORKERS", 1)
+        monkeypatch.setattr(numkernel, "_pool", None)
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 2 * 25)
+        seen = []
+        numkernel._stacked(lambda rows: seen.append(threading.current_thread()), 7, 5)
+        assert seen == [threading.current_thread()] * 4
+        assert numkernel._pool is None
+
+    @pytest.mark.parametrize("engine_workers", [2], indirect=True)
+    def test_failing_slice_cancels_the_queued_ones(self, engine_workers, monkeypatch):
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 1)  # one item per slice
+        ran = []
+
+        def work(rows):
+            ran.append(rows.start)
+            if rows.start == 0:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            time.sleep(0.001)
+
+        with pytest.raises(NonConvergence, match="SVD did not converge"):
+            numkernel._stacked(work, 100, 1)
+        # The slices running when slice 0 failed finish before the raise,
+        # the queued ones are cancelled: nothing runs after it.
+        started = len(ran)
+        time.sleep(0.05)
+        assert len(ran) == started < 20
+
+    @pytest.mark.parametrize("engine_workers", [2], indirect=True)
+    def test_first_error_in_slice_order_is_raised(self, engine_workers, monkeypatch):
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 1)
+
+        def work(rows):
+            # slice 1 fails first, while slice 0 is still running
+            time.sleep(0.05 if rows.start == 0 else 0.0)
+            raise ValueError(f"slice {rows.start}")
+
+        with pytest.raises(ValueError, match="slice 0"):
+            numkernel._stacked(work, 4, 1)
+
+    def test_linalg_error_in_one_slice_is_nonconvergence(self, engine_workers, monkeypatch):
+        A, _, _ = generate("pentadiag_toeplitz", 5, seed=3)
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 4 * 25)
+        calls = itertools.count()
+        svd = np.linalg.svd
+
+        def failing_svd(stack, **kwargs):
+            if next(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(stack, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NonConvergence, match="SVD did not converge"):
+            sigma_min_batch(A, self._points(5))
+
+    def test_many_slices_on_more_threads_than_cores(self, monkeypatch):
+        # Disjoint writes into one output: an overlapping or dropped slice
+        # would break the equality with the per-point loop.
+        monkeypatch.setattr(numkernel, "_WORKERS", 8)
+        monkeypatch.setattr(numkernel, "_pool", None)
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 2 * 16)
+        A, _, _ = generate("hamiltonian_random", 4, seed=2)
+        zs = self._points(4 * 50)
+        expected = [np.linalg.svd(A - z * np.eye(4), compute_uv=False)[-1] for z in zs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(sigma_min_batch(A, zs), np.array(expected))
+        finally:
+            sys.setswitchinterval(interval)
+            numkernel._pool.shutdown()
+
+    def test_forked_child_runs_stacks_on_its_own_pool(self):
+        # The child inherits the parent's pool object but none of its
+        # threads: on that pool its next split stack would never run (the
+        # alarm ends such a child with a nonzero status).
+        code = (
+            "import os, signal, threading\n"
+            "from pseudospec import numkernel\n"
+            "numkernel._WORKERS = 2\n"
+            "numkernel.STACK_ENTRIES = 1\n"
+            "both = threading.Barrier(2, timeout=10)\n"
+            "numkernel._stacked(lambda rows: both.wait(), 2, 1)\n"
+            "assert numkernel._pool is not None\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(10)\n"
+            "    numkernel._stacked(lambda rows: None, 2, 1)\n"
+            "    os._exit(0)\n"
+            "print(os.waitpid(pid, 0)[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(numkernel.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-W", "ignore::DeprecationWarning", "-c", code], env=env,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "0"
+
+
+def _bound_cases():
+    for family in FAMILIES:
+        for n in (4, 6, 9):
+            if family == "hamiltonian_random" and n % 2:
+                continue
+            yield pytest.param(family, n, id=f"{family}-{n}")
+
+
+class TestSigmaMinBounds:
+    """The Schur-form bounds of the inclusion check never fall below the
+    sigma_min that sigma_min_batch computes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        log_scale=st.sampled_from([-150, -8, 0, 8, 150]),
+        spread=st.floats(1e-9, 10.0),
+    )
+    def test_bound_at_least_sigma_min(self, seed, n, log_scale, spread):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A *= 10.0**log_scale
+        w = np.linalg.eigvals(A)
+        # points at the eigenvalues, near them and farther out
+        near = w[rng.integers(0, n, 40)] + spread * 10.0**log_scale * (
+            rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        )
+        zs = np.concatenate([w, near])
+        assert np.all(_sigma_min_bounds(A, zs) >= sigma_min_batch(A, zs))
+
+    @pytest.mark.parametrize("family,n", _bound_cases())
+    def test_bound_at_least_sigma_min_on_family_sweeps(self, family, n):
+        from pseudospec import SweepConfig, sweep_wilkinson
+
+        for seed in range(3):
+            A, pattern, _ = generate(family, n, seed)
+            sys_ = eig_pairs(A)
+            cloud = sweep_wilkinson(A, sys_, SweepConfig(pattern=pattern, angles=40))
+            zs = np.concatenate([cloud.points, sys_.eigenvalues])
+            bounds, values = _sigma_min_bounds(A, zs), sigma_min_batch(A, zs)
+            assert np.all(bounds >= values)
+            # the bounds certify nearly every sweep point on their own
+            assert np.mean(bounds[:-n] <= cloud.epsilon * (1 + 1e-8)) > 0.9
+
+    def test_exact_eigenvalue_gives_infinite_bound(self):
+        A = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        bounds = _sigma_min_bounds(A, [2.0, 2.1])
+        assert bounds[0] == np.inf
+        # singular values 1.1, 0.9 and 0.1: two steps leave a tight bound
+        assert 0.1 <= bounds[1] <= 0.1 + 1e-6
+
+    def test_zero_matrix(self):
+        zs = np.array([0.0, 1.0 + 1.0j, -3.0])
+        bounds = _sigma_min_bounds(np.zeros((3, 3)), zs)
+        assert bounds[0] == np.inf
+        assert np.all(bounds[1:] >= np.abs(zs[1:]))

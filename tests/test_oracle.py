@@ -5,6 +5,7 @@ import pytest
 
 from pseudospec import (
     SweepConfig,
+    oracle,
     abscissa_grid,
     abscissa_lower_bound,
     cloud_inclusion_check,
@@ -14,7 +15,8 @@ from pseudospec import (
     sweep_wilkinson,
 )
 from pseudospec.errors import EmptyLevelSet, OutOfBounds
-from pseudospec.families import generate
+from pseudospec.families import FAMILIES, generate
+from pseudospec.numkernel import sigma_min_batch
 from pseudospec.oracle import default_window
 
 
@@ -147,3 +149,79 @@ def test_non_finite_or_negative_cloud_epsilon_rejected(epsilon):
     cloud = replace(sweep_wilkinson(A, eig_pairs(A), cfg), epsilon=epsilon)
     with pytest.raises(ValueError, match="cloud epsilon"):
         cloud_inclusion_check(cloud, A, slack=0.0)
+
+
+def _certify_cases():
+    """Clouds that pass, fail in part, or sit on the eigenvalues, at scales
+    1 and 1e+-150 and at a tiny epsilon."""
+    for family, n in zip(FAMILIES, (5, 8, 10)):
+        A, pattern, _ = generate(family, n, seed=2)
+        sys = eig_pairs(A)
+        cloud = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=30))
+        rng = np.random.default_rng(n)
+        far = sys.eigenvalues.mean() + 4 * cloud.epsilon * (
+            rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        )
+        for scale in (1.0, 1e150, 1e-150):
+            for name, points in (
+                ("sweep", cloud.points),
+                ("mixed", np.concatenate([cloud.points, far])),
+                ("eigenvalues", sys.eigenvalues),
+            ):
+                for epsilon in (cloud.epsilon, 1e-10):
+                    for slack in (1e-8, 0.0):
+                        yield pytest.param(
+                            A * scale,
+                            replace(cloud, points=points * scale, epsilon=epsilon * scale),
+                            slack,
+                            id=f"{family}-{name}-{scale:.0e}-{epsilon:.1e}-{slack}",
+                        )
+
+
+class TestCertifiedInclusion:
+    """The Schur-form certificate changes no verdict and no worst value."""
+
+    @pytest.mark.parametrize("A,cloud,slack", _certify_cases())
+    def test_reports_equal_the_all_svd_path(self, monkeypatch, A, cloud, slack):
+        certified = cloud_inclusion_check(cloud, A, slack)
+        # bounds of +inf certify nothing: every point goes to sigma_min_batch
+        monkeypatch.setattr(oracle, "_sigma_min_bounds", lambda A, zs: np.full(len(zs), np.inf))
+        assert cloud_inclusion_check(cloud, A, slack) == certified
+        values = sigma_min_batch(A, cloud.points)
+        limit = cloud.epsilon * (1 + slack)
+        assert certified.failed == np.count_nonzero(values > limit)
+        assert certified.worst_value == values.max()
+        assert certified.worst_point == cloud.points[np.argmax(values)]
+
+    def test_sweep_cloud_needs_few_svds(self, monkeypatch):
+        A, pattern, _ = generate("pentadiag_toeplitz", 10, seed=2)
+        cloud = sweep_wilkinson(A, eig_pairs(A), SweepConfig(pattern=pattern, angles=50))
+        evaluated = []
+
+        def recording(A, zs):
+            evaluated.append(len(zs))
+            return sigma_min_batch(A, zs)
+
+        monkeypatch.setattr(oracle, "sigma_min_batch", recording)
+        report = cloud_inclusion_check(cloud, A, slack=1e-8)
+        assert report.all_passed and report.total == 1000
+        assert 1 <= sum(evaluated) <= 50
+
+    def test_ties_report_the_first_worst_point(self):
+        # sigma_min is 0.5 at every point, so each one ties the maximum
+        A = np.diag([0.0, 10.0])
+        points = 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False))
+        cfg = SweepConfig(pattern=full(2), epsilon=0.5, angles=6, pair_override=(0, 1))
+        cloud = replace(sweep_wilkinson(A, eig_pairs(A), cfg), points=points)
+        values = sigma_min_batch(A, points)
+        report = cloud_inclusion_check(cloud, A, slack=1e-8)
+        assert report.worst_value == values.max()
+        assert report.worst_point == points[np.argmax(values)]
+
+    def test_empty_cloud(self):
+        A = np.diag([0.0, 3.0])
+        cfg = SweepConfig(pattern=full(2), epsilon=0.1, angles=2, pair_override=(0, 1))
+        cloud = replace(sweep_wilkinson(A, eig_pairs(A), cfg), points=np.zeros(0, dtype=complex))
+        report = cloud_inclusion_check(cloud, A, slack=0.0)
+        assert (report.total, report.passed, report.failed) == (0, 0, 0)
+        assert report.worst_point is None and report.all_passed
