@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkernel
-from .errors import DegenerateSpectrum
+from .errors import BadParams, DegenerateSpectrum
 from .numkernel import Eigensystem
 from .sensitivity import _check_overlaps, coalescence_estimate, kappas, wilkinson
 from .structures import (
@@ -77,12 +77,15 @@ class PointCloud:
 
 
 def resolve_pair_and_epsilon(sys: Eigensystem, cfg: SweepConfig):
-    """Most sensitive pair and default epsilon for a sweep configuration."""
-    eps_est, pair_est = coalescence_estimate(sys, cfg.pattern)
-    pair = cfg.pair_override if cfg.pair_override is not None else pair_est
-    eps = cfg.epsilon if cfg.epsilon is not None else eps_est
-    if len(pair) != 2 or pair[0] == pair[1] or not all(0 <= i < sys.dim for i in pair):
-        raise DegenerateSpectrum(f"invalid eigenvalue pair {pair}")
+    """The configured pair and epsilon, with the coalescence estimate run
+    only to fill in what the config leaves open.  A pair override that is
+    not two distinct indices raises BadParams before any estimate."""
+    pair, eps = cfg.pair_override, cfg.epsilon
+    if pair is not None and not (len(pair) == 2 and 0 <= min(pair) < max(pair) < sys.dim):
+        raise BadParams(f"invalid eigenvalue pair {pair}")
+    if pair is None or eps is None:
+        eps_est, pair_est = coalescence_estimate(sys, cfg.pattern)
+        pair, eps = pair or pair_est, eps or eps_est  # a valid override is truthy
     return tuple(int(i) for i in pair), float(eps)
 
 
@@ -94,6 +97,7 @@ def _perturbed_spectra(A: np.ndarray, directions, scales: np.ndarray):
     (Re, Im).  Returns the points and, parallel to them, the direction
     index and the scale index of each point.
     """
+    A = np.asarray(A, dtype=complex)
     D = np.asarray(directions, dtype=complex)
     n = A.shape[0]
     m, K = D.shape[0], scales.shape[0]
@@ -126,7 +130,6 @@ def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointC
     For each selected eigenvalue and each angle theta_k the full spectrum of
     A + e^{i theta_k} * eps * W is recorded, giving 2 * K * n points.
     """
-    A = np.asarray(A, dtype=complex)
     pair, eps = resolve_pair_and_epsilon(sys, cfg)
     directions = [wilkinson(sys, i, cfg.pattern) for i in pair]
     points, d_idx, k_idx = _perturbed_spectra(A, directions, _unit_circle(eps, cfg.angles))
@@ -152,10 +155,9 @@ def random_cloud(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    A = np.asarray(A, dtype=complex)
     if cfg.epsilon is None:
         raise ValueError("random_cloud requires an explicit epsilon")
-    n = A.shape[0]
+    n = len(A)
     rng = np.random.default_rng(seed)
     if cfg.pattern.kind == FULL:
         directions = [random_rank_one(n, rng) for _ in range(samples)]
@@ -222,8 +224,7 @@ def _all_ones_spectrum(A: np.ndarray, epsilon: float, S: StructurePattern) -> np
     all-ones matrix onto S."""
     if not 0.0 < epsilon < np.inf:
         raise ValueError("epsilon must be finite and positive")
-    A = np.asarray(A, dtype=complex)
-    E = normalized_projection(np.ones(A.shape), S)
+    E = normalized_projection(np.ones(np.shape(A)), S)
     return _perturbed_spectra(A, [E], np.array([float(epsilon)]))[0]
 
 

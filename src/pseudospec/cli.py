@@ -191,7 +191,7 @@ def cmd_oracle(args) -> int:
     if empty is not None:
         raise empty
     if report is not None and not report.all_passed:
-        raise EmptyLevelSet("cloud inclusion check failed")
+        raise NumericFailure("cloud inclusion check failed")
     return 0
 
 

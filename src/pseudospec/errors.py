@@ -22,7 +22,8 @@ class DefectiveInput(NumericFailure):
 
 
 class DimensionMismatch(PseudospecError):
-    """Matrix dimension incompatible with the requested structure or operation."""
+    """A matrix that is not square, below 2x2 or not finite; a dimension below
+    2 or not fitting a structure pattern; a pattern of unknown kind or support."""
 
 
 class ZeroOffdiagonal(PseudospecError):
@@ -38,11 +39,13 @@ class VanishingOverlap(NumericFailure):
 
 
 class DegenerateSpectrum(NumericFailure):
-    """Fewer than two eigenvalues available for pair minimization."""
+    """Fewer than two eigenvalues with positive kappa (coalescence estimate),
+    or a cloud that sub-cloud matching cannot split: size not a multiple of
+    n, an empty sub-cloud, or no point near the tangency point."""
 
 
 class OutOfBounds(PseudospecError):
-    """Query point lies outside the grid window."""
+    """A non-finite or flat grid window, or a resolution below 2x2 (grid_field)."""
 
 
 class EmptyLevelSet(NumericFailure):

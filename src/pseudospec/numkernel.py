@@ -13,6 +13,7 @@ every norm finite.  Conventions:
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 
@@ -38,22 +39,19 @@ STACK_ENTRIES = 2**15
 _GIL_FREE_VALUES = 500
 
 # Usable CPUs.  A stack that splits runs on the calling thread and up to
-# _WORKERS - 1 threads of a pool sized to the CPUs.  The pool is created on
-# the first such stack; a forked child starts without one, as none of its
-# parent's threads exist in it.
+# _WORKERS - 1 threads of a pool sized to the CPUs.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-_pool = None
 
 
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
+@functools.cache
+def _pool(pid: int):
+    """The pool of process ``pid``, built on its first split stack; a forked
+    child, which has none of its parent's threads, builds its own."""
+    from concurrent.futures import ThreadPoolExecutor
 
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="pseudospec")
 
 
 def _stacked(work, count: int, n: int) -> None:
@@ -71,7 +69,6 @@ def _stacked(work, count: int, n: int) -> None:
     and the first error in slice order is raised, a LinAlgError as
     NonConvergence.
     """
-    global _pool
     budget = max(1, STACK_ENTRIES // (n * n))
     size = min(budget, max(_GIL_FREE_VALUES // n + 1, -(-count // (4 * _WORKERS))))
     starts = iter(range(0, count, size))  # next() is atomic under the GIL
@@ -89,11 +86,8 @@ def _stacked(work, count: int, n: int) -> None:
     helpers = []
     threads = min(_WORKERS, -(-count // size))
     if threads > 1:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="pseudospec")
-        helpers = [_pool.submit(drain) for _ in range(threads - 1)]
+        pool = _pool(os.getpid())
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
     try:
         drain()
         for helper in helpers:
@@ -141,6 +135,16 @@ def _validate_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _scaled(A: np.ndarray):
+    """``(A, B, e)``: A validated, B = A / 2^e and e, 2^e the power of two
+    just above A's largest |Re| or |Im| entry.  The division is exact, and
+    B's largest |Re| or |Im| entry lies in [1/2, 1): no norm of B can
+    overflow, and ||B||_F >= 1/2 unless A = 0 (then B = 0 and e = 0)."""
+    A = _validate_square(A)
+    e = int(np.frexp(np.abs(A.view(float)).max())[1])
+    return A, np.ldexp(A.view(float), -e).view(complex), e
+
+
 def _unit_phases(z: np.ndarray) -> np.ndarray:
     """z / |z| elementwise, and 1 where z = 0."""
     modulus = np.hypot(z.real, z.imag)
@@ -177,17 +181,14 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     """Compute the full eigensystem of A with matched left eigenvectors.
 
     One LAPACK eigensolve (xGEEV) returns each eigenvalue with its right and
-    left eigenvector.  It runs on B = A / 2^e, 2^e the power of two just
-    above the largest real or imaginary part: exact, and no norm can
-    overflow.  All checks run on B; eigenvalues and ``min_gap`` are scaled
-    back by 2^e.  Raises DefectiveInput for the zero matrix and when the
+    left eigenvector.  It runs on B = A / 2^e of :func:`_scaled`, so no norm
+    can overflow.  All checks run on B; eigenvalues and ``min_gap`` are
+    scaled back by 2^e.  Raises DefectiveInput for the zero matrix and when the
     minimal eigenvalue gap falls below ``GAP_TOL_FACTOR * ||A||_F``, and
     NonConvergence when a right or left residual exceeds
     ``TOL_EIG * ||A||_F``.
     """
-    A = _validate_square(A)
-    e = int(np.frexp(np.abs(A.view(float)).max())[1])
-    B = np.ldexp(A.view(float), -e).view(complex)
+    _, B, e = _scaled(A)
     norm_b = np.linalg.norm(B)
     if norm_b == 0.0:
         raise DefectiveInput("the zero matrix has one eigenvalue of full multiplicity")
@@ -270,8 +271,8 @@ def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
 def _sigma_min_bounds(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Upper bounds beta(z) >= sigma_min(A - z I) for a flat array of points.
 
-    One complex Schur form B = Z T Z^H of B = A / 2^e (2^e as in
-    :func:`eig_pairs`; exact, so nothing overflows or underflows) serves
+    One complex Schur form B = Z T Z^H of B = A / 2^e (from
+    :func:`_scaled`; exact, so nothing overflows or underflows) serves
     every point: sigma_min(A - z I) = sigma_min(T - z I).  Two steps of
     inverse iteration on (T - z I)^H (T - z I), with the triangular solves
     run row by row for all points at once, give a vector w, and
@@ -286,16 +287,14 @@ def _sigma_min_bounds(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
     :func:`sigma_min_batch`, whose computed sigma_min lies within
     p(n) u ||A - z I||_2 of the exact one.  So beta(z) also bounds the
     sigma_min that :func:`sigma_min_batch` returns.  Unless A = 0,
-    ||B||_F >= 1/2, so the budget is at least 2 n u and also covers
-    underflow in the residual and in z / 2^e.
+    ||B||_F >= 1/2 (see :func:`_scaled`), so the budget is at least 2 n u
+    and also covers underflow in the residual and in z / 2^e.
     A non-finite beta (z an eigenvalue, or so close that the solves
     overflow) is returned as +inf.
     """
-    A = _validate_square(A)
+    _, B, e = _scaled(A)
     zs = np.asarray(zs, dtype=complex).ravel()
-    n = A.shape[0]
-    e = int(np.frexp(np.abs(A.view(float)).max())[1])
-    B = np.ldexp(A.view(float), -e).view(complex)
+    n = B.shape[0]
     z = np.ldexp(zs.view(float), -e).view(complex)
     T = scipy.linalg.schur(B, output="complex", check_finite=False)[0]
     diag = np.diagonal(T)[None, :] - z[:, None]

@@ -80,7 +80,7 @@ def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridFiel
         raise OutOfBounds("resolution must be at least 2x2")
     field = GridField(bounds, (n_re, n_im), np.empty((n_re, n_im)))
     zs = field.re_centers[:, None] + 1j * field.im_centers[None, :]
-    values = sigma_min_batch(np.asarray(A, dtype=complex), zs.ravel())
+    values = sigma_min_batch(A, zs.ravel())
     field.values[:] = values.reshape(n_re, n_im)
     return field
 
@@ -113,7 +113,6 @@ def cloud_inclusion_check(cloud: PointCloud, A: np.ndarray, slack: float) -> Inc
         raise ValueError("slack must be finite and nonnegative")
     if not 0.0 <= cloud.epsilon < np.inf:
         raise ValueError("cloud epsilon must be finite and nonnegative")
-    A = np.asarray(A, dtype=complex)
     limit = cloud.epsilon * (1.0 + slack)
     bounds = _sigma_min_bounds(A, cloud.points)
     values = np.full(bounds.shape, -np.inf)  # exact sigma_min where evaluated

@@ -45,15 +45,12 @@ class SensitivityReport:
     pair_structured: tuple
 
 
-def _complex_pattern(S: StructurePattern) -> StructurePattern:
-    return replace(S, real=False) if S.real else S
-
-
-def _rephased(sys: Eigensystem, S: StructurePattern) -> Eigensystem:
-    """The eigensystem, Hamiltonian-rephased when S requires it."""
+def _structured(sys: Eigensystem, S: StructurePattern):
+    """``(sys, S)`` as structured quantities read them: the eigensystem,
+    Hamiltonian-rephased when S is Hamiltonian, and the complex span of S."""
     if S.kind == HAMILTONIAN:
-        return hamiltonian_phase_normalize(sys, S.n_half)
-    return sys
+        sys = hamiltonian_phase_normalize(sys, S.n_half)
+    return sys, replace(S, real=False) if S.real else S
 
 
 def _check_overlaps(sys: Eigensystem, indices) -> None:
@@ -70,23 +67,23 @@ def kappas(sys: Eigensystem, S: StructurePattern) -> np.ndarray:
     For the full pattern this is kappa(lambda_i) = 1 / |y_i^H x_i|.  A
     Hamiltonian eigensystem is rephased once for all eigenvalues.
     """
-    sys = _rephased(sys, S)
+    sys, S = _structured(sys, S)
     _check_overlaps(sys, range(sys.dim))
     o = sys.overlaps
     # hypot rounds like the scalar |o|; np.abs on complex arrays may not
     moduli = np.hypot(o.real, o.imag)
     if S.kind == FULL:
         return 1.0 / moduli
-    return projection_norms(sys.lefts, sys.rights, _complex_pattern(S)) / moduli
+    return projection_norms(sys.lefts, sys.rights, S) / moduli
 
 
 def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> np.ndarray:
     """Unit Wilkinson direction for eigenvalue i: the normalized projection
     of y_i x_i^H onto S (y_i x_i^H itself for the full pattern)."""
-    sys = _rephased(sys, S)
+    sys, S = _structured(sys, S)
     _check_overlaps(sys, [i])
     base = np.outer(sys.lefts[:, i], np.conj(sys.rights[:, i]))
-    return normalized_projection(base, _complex_pattern(S))
+    return normalized_projection(base, S)
 
 
 def _closest_pair(w: np.ndarray, kappa: np.ndarray):

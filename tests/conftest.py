@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from pseudospec import numkernel
@@ -7,7 +9,8 @@ from pseudospec import numkernel
 def engine_workers(request, monkeypatch):
     """The slice runner with 1, 2 or 3 workers, on a pool of its own."""
     monkeypatch.setattr(numkernel, "_WORKERS", request.param)
-    monkeypatch.setattr(numkernel, "_pool", None)
+    numkernel._pool.cache_clear()
     yield request.param
-    if numkernel._pool is not None:
-        numkernel._pool.shutdown()
+    if numkernel._pool.cache_info().currsize:
+        numkernel._pool(os.getpid()).shutdown()
+        numkernel._pool.cache_clear()

@@ -23,9 +23,9 @@ from pseudospec import (
     sweep_wilkinson,
     toeplitz,
 )
-from pseudospec import numkernel
-from pseudospec.approx import _component_match
-from pseudospec.errors import DegenerateSpectrum, NonConvergence
+from pseudospec import approx, numkernel
+from pseudospec.approx import _component_match, resolve_pair_and_epsilon
+from pseudospec.errors import BadParams, DefectiveInput, DegenerateSpectrum, NonConvergence
 from pseudospec.families import FAMILIES, generate
 
 
@@ -79,8 +79,42 @@ class TestSweepWilkinson:
         sys = eig_pairs(A)
         for pair in [(1, 1), (0, 2), (-1, 0)]:
             cfg = SweepConfig(pattern=full(2), epsilon=0.1, pair_override=pair)
-            with pytest.raises(DegenerateSpectrum):
+            with pytest.raises(BadParams):
                 sweep_wilkinson(A, sys, cfg)
+
+    @staticmethod
+    def _failing_estimate(monkeypatch):
+        calls = []
+
+        def estimate(sys, S):
+            calls.append(S)
+            raise DefectiveInput("estimate called")
+
+        monkeypatch.setattr(approx, "coalescence_estimate", estimate)
+        return calls
+
+    @pytest.mark.parametrize("pair,eps", [((2, 0), 0.1), (None, 0.1), ((2, 0), None), (None, None)])
+    def test_estimate_runs_only_for_what_the_config_leaves_open(self, monkeypatch, pair, eps):
+        calls = self._failing_estimate(monkeypatch)
+        sys = eig_pairs(np.diag([0.0, 3.0, 5.0]))
+        cfg = SweepConfig(pattern=full(3), epsilon=eps, pair_override=pair)
+        if pair is not None and eps is not None:
+            assert resolve_pair_and_epsilon(sys, cfg) == ((2, 0), 0.1)
+            assert calls == []
+        else:
+            with pytest.raises(DefectiveInput):
+                resolve_pair_and_epsilon(sys, cfg)
+            assert calls == [cfg.pattern]
+
+    @pytest.mark.parametrize("eps", [0.1, None])
+    def test_invalid_pair_rejected_before_the_estimate(self, monkeypatch, eps):
+        calls = self._failing_estimate(monkeypatch)
+        sys = eig_pairs(np.diag([0.0, 3.0, 5.0]))
+        for pair in [(1, 1), (0, 3), (-1, 0), (0, 1, 2)]:
+            cfg = SweepConfig(pattern=full(3), epsilon=eps, pair_override=pair)
+            with pytest.raises(BadParams, match="invalid eigenvalue pair"):
+                resolve_pair_and_epsilon(sys, cfg)
+        assert calls == []
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -287,10 +287,29 @@ def test_bad_trajectory_grid_exit_2(matrix_file, tmp_path, eps_max, steps):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("pair", ["0,99", "-1,0"])
-def test_bad_pair_exit_3(matrix_file, tmp_path, capsys, pair):
-    assert run("approx", matrix_file, f"--pair={pair}", "--out", tmp_path / "c.csv") == 3
-    assert capsys.readouterr().err.startswith("numeric failure: invalid eigenvalue pair")
+@pytest.mark.parametrize("pair", ["0,99", "-1,0", "1,1"])
+def test_bad_pair_exit_2(matrix_file, tmp_path, capsys, pair):
+    assert run("approx", matrix_file, f"--pair={pair}", "--out", tmp_path / "c.csv") == 2
+    assert capsys.readouterr().err.startswith("error: invalid eigenvalue pair")
+
+
+def test_given_pair_and_epsilon_skip_the_estimate(tmp_path, capsys):
+    # Eigenvalue 14 of this matrix is too ill-conditioned for the coalescence
+    # estimate, which needs every kappa; the pair (20, 21) and its Wilkinson
+    # directions are sound.
+    matrix, out = tmp_path / "m.json", tmp_path / "c.csv"
+    assert run("generate", "--family", "pentadiag_toeplitz", "--n", "40",
+               "--seed", "65", "--out", matrix) == 0
+    assert run("approx", matrix, "--epsilon", "1e-3", "--out", out) == 3
+    assert "numerically defective" in capsys.readouterr().err
+    assert run("approx", matrix, "--pair", "20,21", "--epsilon", "1e-3",
+               "--angles", "8", "--out", out) == 0
+    cloud, _ = io.load_cloud(str(out), dim_hint=40)
+    assert len(cloud) == 2 * 8 * 40
+    assert set(cloud.source_eigen) == {20, 21}
+    # A bad index is reported as such, not as the estimate's failure.
+    assert run("approx", matrix, "--pair", "0,99", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: invalid eigenvalue pair (0, 99)")
 
 
 _A4 = toeplitz_matrix(4, {-1: 2.0, 0: 1.0, 1: 0.5})
@@ -550,6 +569,22 @@ def test_empty_level_set_still_prints_the_inclusion_verdict(matrix_file, tmp_pat
     assert err == "numeric failure: epsilon level set does not intersect the window\n"
 
 
+def test_failed_inclusion_check_exit_3(matrix_file, tmp_path, capsys):
+    # The sweep's own epsilon, lowered tenfold in the header, is too small
+    # for most of its points.
+    cloud = tmp_path / "c.csv"
+    assert run("approx", matrix_file, "--angles", "20", "--out", cloud) == 0
+    lines = cloud.read_text().splitlines(keepends=True)
+    (at,) = [k for k, line in enumerate(lines) if line.startswith("# epsilon=")]
+    lines[at] = f"# epsilon={float(lines[at][len('# epsilon='):]) / 10!r}\n"
+    cloud.write_text("".join(lines))
+    capsys.readouterr()
+    assert run("oracle", matrix_file, "--check", cloud) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("inclusion check: pass 30.0% (60/200), worst sigma_min=")
+    assert err == "numeric failure: cloud inclusion check failed\n"
+
+
 def test_linalg_error_in_a_worker_slice_exit_3(engine_workers, monkeypatch, matrix_file,
                                               tmp_path, capsys):
     monkeypatch.setattr(numkernel, "STACK_ENTRIES", 4 * 25)
@@ -576,9 +611,9 @@ def test_cli_import_and_parser_start_no_thread():
         "import sys, threading, pseudospec.cli as cli; cli.build_parser(); "
         "from pseudospec import numkernel; "
         "print(threading.active_count(), 'concurrent.futures.thread' in sys.modules, "
-        "numkernel._pool)"
+        "numkernel._pool.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["1", "False", "None"]
+    assert out.stdout.split() == ["1", "False", "0"]

@@ -154,6 +154,38 @@ class TestEigPairs:
         assert np.array_equal(scaled.lefts, base.lefts)
         assert np.array_equal(scaled.overlaps, base.overlaps)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        data=st.data(),
+    )
+    def test_scaled_puts_the_largest_part_in_half_to_one(self, n, data):
+        # Parts across 2^(+-1000), any finite float (subnormals included),
+        # and the extremes themselves; or the zero matrix.
+        finfo = np.finfo(float)
+        part = st.one_of(
+            st.builds(np.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 1000)),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, finfo.tiny, finfo.max, -finfo.max]),
+        )
+        parts = np.array(data.draw(st.lists(part, min_size=2 * n * n, max_size=2 * n * n)),
+                         dtype=float)
+        if data.draw(st.booleans()):
+            parts[:] = 0.0
+        A = parts.view(complex).reshape(n, n)
+        A_out, B, e = numkernel._scaled(A)
+        assert np.array_equal(A_out, A) and isinstance(e, int)
+        scaled = np.abs(B.view(float))
+        assert np.all(scaled < 1.0)
+        if np.any(A):
+            assert 0.5 <= scaled.max() < 1.0
+        else:
+            assert e == 0 and not np.any(B)
+        # Bit for bit unless a part falls below the normal range once scaled.
+        if np.all((parts == 0.0) | (np.abs(parts) >= np.ldexp(finfo.tiny, e))):
+            back = np.ldexp(B.view(float), e)
+            assert np.array_equal(back.ravel().view(np.uint64), parts.view(np.uint64))
+
     def test_extreme_scaling_keeps_kappas(self):
         A, S, _ = generate("hamiltonian_random", 8, 2)
         base = eig_pairs(A)
@@ -392,12 +424,12 @@ class TestSliceRunner:
 
     def test_one_worker_runs_every_slice_inline(self, monkeypatch):
         monkeypatch.setattr(numkernel, "_WORKERS", 1)
-        monkeypatch.setattr(numkernel, "_pool", None)
+        numkernel._pool.cache_clear()
         monkeypatch.setattr(numkernel, "STACK_ENTRIES", 2 * 25)
         seen = []
         numkernel._stacked(lambda rows: seen.append(threading.current_thread()), 7, 5)
         assert seen == [threading.current_thread()] * 4
-        assert numkernel._pool is None
+        assert numkernel._pool.cache_info().currsize == 0
 
     @pytest.mark.parametrize("engine_workers", [2], indirect=True)
     def test_failing_slice_cancels_the_queued_ones(self, engine_workers, monkeypatch):
@@ -449,7 +481,7 @@ class TestSliceRunner:
         # Disjoint writes into one output: an overlapping or dropped slice
         # would break the equality with the per-point loop.
         monkeypatch.setattr(numkernel, "_WORKERS", 8)
-        monkeypatch.setattr(numkernel, "_pool", None)
+        numkernel._pool.cache_clear()
         monkeypatch.setattr(numkernel, "STACK_ENTRIES", 2 * 16)
         A, _, _ = generate("hamiltonian_random", 4, seed=2)
         zs = self._points(4 * 50)
@@ -459,14 +491,17 @@ class TestSliceRunner:
         try:
             for _ in range(5):
                 assert np.array_equal(sigma_min_batch(A, zs), np.array(expected))
+            assert numkernel._pool.cache_info().currsize == 1
         finally:
             sys.setswitchinterval(interval)
-            numkernel._pool.shutdown()
+            numkernel._pool(os.getpid()).shutdown()
+            numkernel._pool.cache_clear()
 
     def test_forked_child_runs_stacks_on_its_own_pool(self):
-        # The child inherits the parent's pool object but none of its
+        # The child inherits the parent's cached pool but none of its
         # threads: on that pool its next split stack would never run (the
-        # alarm ends such a child with a nonzero status).
+        # alarm ends such a child with a nonzero status).  It builds a
+        # second pool, keyed by its own pid.
         code = (
             "import os, signal, threading\n"
             "from pseudospec import numkernel\n"
@@ -474,12 +509,12 @@ class TestSliceRunner:
             "numkernel.STACK_ENTRIES = 1\n"
             "both = threading.Barrier(2, timeout=10)\n"
             "numkernel._stacked(lambda rows: both.wait(), 2, 1)\n"
-            "assert numkernel._pool is not None\n"
+            "assert numkernel._pool.cache_info().currsize == 1\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(10)\n"
             "    numkernel._stacked(lambda rows: None, 2, 1)\n"
-            "    os._exit(0)\n"
+            "    os._exit(numkernel._pool.cache_info().currsize != 2)\n"
             "print(os.waitpid(pid, 0)[1])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(numkernel.__file__).parents[1]))
