@@ -18,11 +18,7 @@ from .approx import (
 from .numkernel import (
     Eigensystem,
     eig_pairs,
-    hamiltonian_phase_normalize,
     sigma_min_batch,
-    symplectic_j,
-    toeplitz_matrix,
-    tridiag_toeplitz,
     tridiag_toeplitz_reference,
 )
 from .oracle import (
@@ -42,6 +38,7 @@ from .structures import (
     StructurePattern,
     full,
     hamiltonian,
+    hamiltonian_phase_normalize,
     hankel,
     is_member,
     normalized_projection,
@@ -49,7 +46,9 @@ from .structures import (
     projection_norms,
     random_member,
     random_rank_one,
+    symplectic_j,
     toeplitz,
+    toeplitz_matrix,
     toeplitz_support_of,
 )
 

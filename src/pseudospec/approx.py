@@ -52,6 +52,9 @@ class SweepConfig:
             raise ValueError("angle count must be at least 1")
         if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and positive")
+        pair = self.pair_override
+        if pair is not None and not (len(pair) == 2 and 0 <= min(pair) < max(pair) < self.pattern.dim):
+            raise BadParams(f"invalid eigenvalue pair {pair}")
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,8 @@ class PointCloud:
 
 def resolve_pair_and_epsilon(sys: Eigensystem, cfg: SweepConfig):
     """The configured pair and epsilon, with the coalescence estimate run
-    only to fill in what the config leaves open.  A pair override that is
-    not two distinct indices raises BadParams before any estimate."""
+    only to fill in what the config leaves open."""
     pair, eps = cfg.pair_override, cfg.epsilon
-    if pair is not None and not (len(pair) == 2 and 0 <= min(pair) < max(pair) < sys.dim):
-        raise BadParams(f"invalid eigenvalue pair {pair}")
     if pair is None or eps is None:
         eps_est, pair_est = coalescence_estimate(sys, cfg.pattern)
         pair, eps = pair or pair_est, eps or eps_est  # a valid override is truthy
@@ -277,7 +277,7 @@ def coalescence_gap(cloud: PointCloud, sys: Eigensystem, pair: tuple) -> float:
     a, b = matched[:, pair[0]], matched[:, pair[1]]
     if a.size == 0 or b.size == 0:
         raise DegenerateSpectrum("empty sub-cloud; pair does not match sweep")
-    return float(np.min(np.abs(a[:, None] - b[None, :])))
+    return float(_nearest_distances(a, b).min())
 
 
 def coverage_comparison(
@@ -312,11 +312,16 @@ def coverage_comparison(
 
 def directed_coverage_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     """max over points of xs of the distance to the nearest point of ys."""
+    return float(_nearest_distances(xs, ys).max(initial=0.0))
+
+
+def _nearest_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Distance from each point of xs to its nearest in ys, in blocks of ``STACK_ENTRIES``."""
     xs = np.asarray(xs).ravel()
     ys = np.asarray(ys).ravel()
-    best = 0.0
+    out = np.empty(xs.size)
     chunk = max(1, numkernel.STACK_ENTRIES // max(ys.size, 1))
     for start in range(0, xs.size, chunk):
-        d = np.abs(xs[start : start + chunk, None] - ys[None, :]).min(axis=1)
-        best = max(best, float(d.max()))
-    return best
+        rows = slice(start, start + chunk)
+        out[rows] = np.abs(xs[rows, None] - ys[None, :]).min(axis=1)
+    return out

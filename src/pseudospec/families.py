@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadParams, UnknownFamily
-from .numkernel import toeplitz_matrix
-from .structures import hamiltonian, project, toeplitz
+from .structures import hamiltonian, project, toeplitz, toeplitz_matrix
 
 FAMILIES = ("tridiag_toeplitz", "pentadiag_toeplitz", "hamiltonian_random")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +31,7 @@ TOL_EIG = 1e-10
 GAP_TOL_FACTOR = 1e-8
 # Entry budget of one slice of a stacked LAPACK call (stacked SVDs here,
 # stacked eigensolves in the sweep engine): 2**15 complex entries, 512 KiB.
-# approx.directed_coverage_distance reads it as its block size too.
+# approx._nearest_distances reads it as its block size too.
 STACK_ENTRIES = 2**15
 
 # numpy runs a stacked LAPACK loop without the GIL only when it writes more
@@ -228,29 +228,6 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     )
 
 
-def symplectic_j(n_half: int) -> np.ndarray:
-    """The fundamental 2n x 2n matrix [[0, I], [-I, 0]]."""
-    J = np.zeros((2 * n_half, 2 * n_half))
-    J[:n_half, n_half:] = np.eye(n_half)
-    J[n_half:, :n_half] = -np.eye(n_half)
-    return J
-
-
-def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
-    """Rephase each eigen-triple so that Im(y^H J x) = 0.
-
-    The rotation multiplies y by a unimodular factor, which preserves
-    ``||y|| = 1`` and ``|y^H x|``.  Pairs with y^H J x = 0 are left unchanged.
-    """
-    if sys.dim != 2 * n_half:
-        raise DimensionMismatch(
-            f"eigensystem dimension {sys.dim} != 2 * {n_half}"
-        )
-    # y -> e^{i arg(c)} y sends c = y^H J x to |c| (real, nonnegative).
-    c = _column_dots(sys.lefts, symplectic_j(n_half) @ sys.rights)
-    return replace(sys, lefts=sys.lefts * _unit_phases(c))
-
-
 def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """sigma_min(A - z I) for every z in a flat array, via stacked SVDs."""
     A = _validate_square(A)
@@ -315,24 +292,6 @@ def _sigma_min_bounds(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
         budget = 4 * n * u * (np.linalg.norm(T) + np.abs(z) + np.linalg.norm(B))
         beta = np.ldexp(residual + budget, e)
     return np.where(np.isfinite(beta), beta, np.inf)
-
-
-def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:
-    """Assemble the n x n Toeplitz matrix with ``diagonals[k]`` on diagonal k
-    (k > 0 above the main diagonal) and zeros elsewhere."""
-    A = np.zeros((n, n), dtype=complex)
-    for offset, value in diagonals.items():
-        idx = np.arange(n - abs(offset))
-        if offset >= 0:
-            A[idx, idx + offset] = value
-        else:
-            A[idx - offset, idx] = value
-    return A
-
-
-def tridiag_toeplitz(n: int, sub: complex, diag: complex, sup: complex) -> np.ndarray:
-    """Assemble the n x n tridiagonal Toeplitz matrix."""
-    return toeplitz_matrix(n, {-1: sub, 0: diag, 1: sup})
 
 
 def tridiag_toeplitz_reference(

@@ -7,25 +7,23 @@ Wilkinson disks of radius kappa * t become tangent:
 
     eps = min_{i<j} |lambda_i - lambda_j| / (kappa(lambda_i) + kappa(lambda_j)).
 
-Structured condition numbers and Wilkinson directions are computed over the
-complex structure subspace (the setting of their maximality statements); for
-Hamiltonian patterns the eigen-triple is first rephased so Im(y^H J x) = 0,
-which maximizes the projection norm over unimodular rescalings.
+Structured condition numbers and Wilkinson directions read the eigensystem
+and pattern through ``structures._structured``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, VanishingOverlap
-from .numkernel import Eigensystem, hamiltonian_phase_normalize
+from .numkernel import Eigensystem
 from .structures import (
     FULL,
-    HAMILTONIAN,
     StructurePattern,
+    _structured,
     full,
     normalized_projection,
     projection_norms,
@@ -43,14 +41,6 @@ class SensitivityReport:
     epsilon_structured: float
     pair: tuple
     pair_structured: tuple
-
-
-def _structured(sys: Eigensystem, S: StructurePattern):
-    """``(sys, S)`` as structured quantities read them: the eigensystem,
-    Hamiltonian-rephased when S is Hamiltonian, and the complex span of S."""
-    if S.kind == HAMILTONIAN:
-        sys = hamiltonian_phase_normalize(sys, S.n_half)
-    return sys, replace(S, real=False) if S.real else S
 
 
 def _check_overlaps(sys: Eigensystem, indices) -> None:

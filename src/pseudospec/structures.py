@@ -1,5 +1,6 @@
-"""Structure patterns, membership tests, nearest-matrix projections, and
-random structured/unstructured perturbation generators.
+"""Structure patterns, membership tests, nearest-matrix projections, random
+structured/unstructured perturbation generators, the Toeplitz assembler, and
+the symplectic J with the Hamiltonian rephasing of eigen-triples.
 
 Supported patterns: full (no constraint), Toeplitz with a diagonal support
 set, Hankel with an antidiagonal support set, and Hamiltonian (2n x 2n
@@ -10,12 +11,12 @@ conjugate transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, ZeroProjection
-from .numkernel import _column_dots, symplectic_j, toeplitz_matrix
+from .numkernel import Eigensystem, _column_dots, _unit_phases
 
 MEMBERSHIP_RTOL = 1e-12
 NORM_RTOL = 1e-14
@@ -129,6 +130,33 @@ def toeplitz_support_of(A: np.ndarray) -> frozenset:
     )
 
 
+def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:
+    """Assemble the n x n Toeplitz matrix with ``diagonals[k]`` on diagonal k
+    (k > 0 above the main diagonal) and zeros elsewhere."""
+    A = np.zeros((n, n), dtype=complex)
+    for offset, value in diagonals.items():
+        idx = np.arange(n - abs(offset))
+        if offset >= 0:
+            A[idx, idx + offset] = value
+        else:
+            A[idx - offset, idx] = value
+    return A
+
+
+def symplectic_j(n_half: int) -> np.ndarray:
+    """The dense 2n x 2n J = [[0, I], [-I, 0]]; the library applies J by :func:`_j`."""
+    J = np.zeros((2 * n_half, 2 * n_half))
+    J[:n_half, n_half:] = np.eye(n_half)
+    J[n_half:, :n_half] = -np.eye(n_half)
+    return J
+
+
+def _j(X: np.ndarray, n_half: int) -> np.ndarray:
+    """J X = [X_lower; -X_upper] for J = symplectic_j(n_half), by moves and
+    negations only, so nothing rounds; X J = -(J X^T)^T, as J^T = -J."""
+    return np.concatenate([X[n_half:], -X[:n_half]])
+
+
 def _check_dim(M: np.ndarray, S: StructurePattern) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != S.dim:
@@ -151,8 +179,8 @@ def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
 
     A real pattern first restricts M to its real part.  Toeplitz/Hankel:
     each supported (anti)diagonal is replaced by its arithmetic mean,
-    everything else is zeroed.  Hamiltonian: (M + J M^H J) / 2.  Full: the
-    identity.
+    everything else is zeroed.  Hamiltonian: (M + J M^H J) / 2, with
+    J M^H J = -J (J conj(M))^T.  Full: the identity.
     """
     M = _check_dim(M, S)
     if S.real:
@@ -161,8 +189,7 @@ def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
         return M.copy()
     if S.kind in (TOEPLITZ, HANKEL):
         return _project_banded(M, S.support, antidiagonal=(S.kind == HANKEL))
-    J = symplectic_j(S.n_half)
-    return 0.5 * (M + J @ M.conj().T @ J)
+    return 0.5 * (M - _j(_j(M.conj(), S.n_half).T, S.n_half))
 
 
 def _diagonal_sums(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
@@ -178,9 +205,7 @@ def _outer_gram(U1, V1, U2, V2, S: StructurePattern) -> np.ndarray:
     the complex span of S (``S.real`` is not read)."""
     if S.kind == HAMILTONIAN:
         # P is orthogonal for Re<.,.>, so this is Re <M1, (M2 + J M2^H J) / 2>.
-        # J v = (v_lower, -v_upper) for J = symplectic_j(n_half)
-        h = S.n_half
-        JV1, JV2 = (np.concatenate([V[h:], -V[:h]]) for V in (V1, V2))
+        JV1, JV2 = _j(V1, S.n_half), _j(V2, S.n_half)
         g = (_column_dots(U1, U2) * _column_dots(V2, V1) + _column_dots(U1, JV2) * _column_dots(U2, JV1)) / 2
     elif S.kind == FULL:
         g = _column_dots(U1, U2) * _column_dots(V2, V1)
@@ -214,6 +239,28 @@ def projection_norms(lefts: np.ndarray, rights: np.ndarray, S: StructurePattern)
     else:
         sq = _outer_gram(Y, X, Y, X, S)
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
+    """Rephase each eigen-triple so that Im(y^H J x) = 0.
+
+    The rotation multiplies y by a unimodular factor, which preserves
+    ``||y|| = 1`` and ``|y^H x|``.  Pairs with y^H J x = 0 are left unchanged.
+    """
+    if sys.dim != 2 * n_half:
+        raise DimensionMismatch(f"eigensystem dimension {sys.dim} != 2 * {n_half}")
+    # y -> e^{i arg(c)} y sends c = y^H J x to |c| (real, nonnegative).
+    c = _column_dots(sys.lefts, _j(sys.rights, n_half))
+    return replace(sys, lefts=sys.lefts * _unit_phases(c))
+
+
+def _structured(sys: Eigensystem, S: StructurePattern):
+    """``(sys, S)`` as structured quantities read them: the complex span of S
+    (where their maximality holds) and, for Hamiltonian S, the eigensystem
+    rephased to Im(y^H J x) = 0, which maximizes ||(y x^H)|_S|| over phases of y."""
+    if S.kind == HAMILTONIAN:
+        sys = hamiltonian_phase_normalize(sys, S.n_half)
+    return sys, replace(S, real=False) if S.real else S
 
 
 def is_member(M: np.ndarray, S: StructurePattern) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,12 +76,9 @@ class TestSweepWilkinson:
         np.testing.assert_allclose(np.abs(moved), 0.5, atol=1e-12)
 
     def test_invalid_pair_rejected(self):
-        A = np.diag([0.0, 3.0])
-        sys = eig_pairs(A)
         for pair in [(1, 1), (0, 2), (-1, 0)]:
-            cfg = SweepConfig(pattern=full(2), epsilon=0.1, pair_override=pair)
             with pytest.raises(BadParams):
-                sweep_wilkinson(A, sys, cfg)
+                SweepConfig(pattern=full(2), epsilon=0.1, pair_override=pair)
 
     @staticmethod
     def _failing_estimate(monkeypatch):
@@ -109,11 +107,9 @@ class TestSweepWilkinson:
     @pytest.mark.parametrize("eps", [0.1, None])
     def test_invalid_pair_rejected_before_the_estimate(self, monkeypatch, eps):
         calls = self._failing_estimate(monkeypatch)
-        sys = eig_pairs(np.diag([0.0, 3.0, 5.0]))
         for pair in [(1, 1), (0, 3), (-1, 0), (0, 1, 2)]:
-            cfg = SweepConfig(pattern=full(3), epsilon=eps, pair_override=pair)
             with pytest.raises(BadParams, match="invalid eigenvalue pair"):
-                resolve_pair_and_epsilon(sys, cfg)
+                SweepConfig(pattern=full(3), epsilon=eps, pair_override=pair)
         assert calls == []
 
     def test_bad_config_rejected(self):
@@ -445,12 +441,49 @@ class TestSubcloudAndGap:
             assert np.array_equal(subcloud(cloud, sys, i), np.array(expected))
 
 
+    @pytest.mark.parametrize(
+        "family,n", [("tridiag_toeplitz", 5), ("pentadiag_toeplitz", 6), ("hamiltonian_random", 8)]
+    )
+    def test_gap_equals_the_full_distance_matrix(self, family, n):
+        # 400-point sub-clouds: the distance matrix spans several blocks.
+        A, pattern, _ = generate(family, n, seed=1)
+        sys = eig_pairs(A)
+        cloud = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=200))
+        pair = cloud.meta["pair"]
+        a, b = (subcloud(cloud, sys, i) for i in pair)
+        assert a.size * b.size > numkernel.STACK_ENTRIES
+        assert coalescence_gap(cloud, sys, pair) == float(np.min(np.abs(a[:, None] - b[None, :])))
+
+    def test_gap_memory_is_bounded(self):
+        # 2000-point sub-clouds, whose full distance matrix alone takes 64 MiB.
+        A, _, _ = generate("tridiag_toeplitz", 5, seed=2)
+        sys = eig_pairs(A)
+        cloud = sweep_wilkinson(A, sys, SweepConfig(pattern=full(5)))
+        pair = cloud.meta["pair"]
+        expected = coalescence_gap(cloud, sys, pair)  # also loads scipy.optimize
+        tracemalloc.start()
+        try:
+            assert coalescence_gap(cloud, sys, pair) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestCoverage:
     def test_directed_distance_hand_values(self):
         xs = np.array([0.0, 1.0 + 0.0j])
         ys = np.array([0.0 + 0.0j])
         assert directed_coverage_distance(xs, ys) == pytest.approx(1.0)
         assert directed_coverage_distance(ys, xs) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("sizes", [(0, 5), (1, 1), (300, 250), (5000, 7)])
+    def test_directed_distance_equals_the_full_distance_matrix(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        xs, ys = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in sizes)
+        full_matrix = np.abs(xs[:, None] - ys[None, :])
+        expected = float(full_matrix.min(axis=1).max()) if xs.size else 0.0
+        assert directed_coverage_distance(xs, ys) == expected
 
     def test_sweep_covers_tangency_better_than_random(self):
         A, pattern, _ = generate("tridiag_toeplitz", 5, seed=2)

@@ -15,7 +15,7 @@ from pseudospec import cli, errors, families, full, hamiltonian, hankel, io, num
 from pseudospec.cli import STRUCTURE_CHOICES, _resolve_pattern, build_parser, main
 from pseudospec.errors import BadParams
 from pseudospec.families import generate
-from pseudospec.numkernel import toeplitz_matrix
+from pseudospec.structures import toeplitz_matrix
 
 
 def run(*argv):
@@ -291,6 +291,15 @@ def test_bad_trajectory_grid_exit_2(matrix_file, tmp_path, eps_max, steps):
 def test_bad_pair_exit_2(matrix_file, tmp_path, capsys, pair):
     assert run("approx", matrix_file, f"--pair={pair}", "--out", tmp_path / "c.csv") == 2
     assert capsys.readouterr().err.startswith("error: invalid eigenvalue pair")
+
+
+def test_bad_pair_exit_2_before_the_eigensolve(tmp_path, capsys):
+    # A Jordan block fails eig_pairs with exit 3; the pair is checked first.
+    path, out = tmp_path / "jordan.json", tmp_path / "j.csv"
+    io.save_matrix(str(path), np.eye(3) + np.eye(3, k=1))
+    assert run("approx", path, "--pair", "0,99", "--out", out) == 2
+    assert capsys.readouterr().err == "error: invalid eigenvalue pair (0, 99)\n"
+    assert not out.exists()
 
 
 def test_given_pair_and_epsilon_skip_the_estimate(tmp_path, capsys):

@@ -17,7 +17,6 @@ from pseudospec import (
     symplectic_j,
     toeplitz,
     toeplitz_matrix,
-    tridiag_toeplitz,
     wilkinson,
 )
 from pseudospec.errors import DegenerateSpectrum

@@ -2,11 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospec import (
+    Eigensystem,
     StructurePattern,
     full,
     hamiltonian,
+    hamiltonian_phase_normalize,
     hankel,
     is_member,
     normalized_projection,
@@ -16,10 +20,11 @@ from pseudospec import (
     random_rank_one,
     symplectic_j,
     toeplitz,
+    toeplitz_matrix,
     toeplitz_support_of,
-    tridiag_toeplitz,
 )
 from pseudospec.errors import BadParams, DimensionMismatch, ZeroProjection
+from pseudospec.numkernel import _column_dots, _unit_phases
 from pseudospec.structures import _project_banded, pattern_from_dict
 
 RNG = np.random.default_rng(2024)
@@ -43,7 +48,7 @@ ALL_PATTERNS = [
 
 class TestMembership:
     def test_tridiagonal_toeplitz_is_member(self):
-        A = tridiag_toeplitz(5, 2.0, 1.0, 3.0)
+        A = toeplitz_matrix(5, {-1: 2.0, 0: 1.0, 1: 3.0})
         assert is_member(A, toeplitz(5, {-1, 0, 1}))
 
     def test_non_toeplitz_diagonal(self):
@@ -146,6 +151,53 @@ class TestProject:
             )
 
 
+class TestJRule:
+    """J applied by block swaps equals the dense ``symplectic_j`` products
+    byte for byte (``tobytes``, so signed zeros count)."""
+
+    @staticmethod
+    def _matrix(seed, shape, real, zeros):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal(shape).astype(complex)
+        if not real:
+            M += 1j * rng.standard_normal(shape)
+        M[rng.random(shape) < zeros] = 0
+        return M
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        real=st.booleans(),
+        zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_project_hamiltonian_equals_dense_formula(self, h, seed, real, zeros):
+        M = self._matrix(seed, (2 * h, 2 * h), real, zeros)
+        J = symplectic_j(h)
+        for S in (hamiltonian(h), hamiltonian(h, real=True)):
+            base = M.real.astype(complex) if S.real else M
+            dense = 0.5 * (base + J @ base.conj().T @ J)
+            assert project(M, S).tobytes() == dense.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        real=st.booleans(),
+        zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_phase_normalize_equals_dense_formula(self, h, seed, real, zeros):
+        n = 2 * h
+        rights = self._matrix(seed, (n, n), real, zeros)
+        lefts = self._matrix(seed + 1, (n, n), real, zeros)
+        sys = Eigensystem(eigenvalues=np.arange(n, dtype=complex), rights=rights,
+                          lefts=lefts, min_gap=1.0)
+        dense = lefts * _unit_phases(_column_dots(lefts, symplectic_j(h) @ rights))
+        out = hamiltonian_phase_normalize(sys, h)
+        assert out.lefts.tobytes() == dense.tobytes()
+        assert out.rights is rights
+
+
 class TestNormalizedProjection:
     def test_member_rescaled(self):
         S = toeplitz(3, {-1, 0, 1})
@@ -182,7 +234,7 @@ class TestRandomGenerators:
 
 
 def test_toeplitz_support_inference():
-    A = tridiag_toeplitz(6, 1.0, 0.0, 2.0)
+    A = toeplitz_matrix(6, {-1: 1.0, 0: 0.0, 1: 2.0})
     assert toeplitz_support_of(A) == frozenset({-1, 1})
     A[0, 0] = 3.0  # no longer constant but the diagonal is now nonzero
     assert toeplitz_support_of(A) == frozenset({-1, 0, 1})
