@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -120,9 +121,7 @@ def cmd_approx(args) -> int:
 
     baseline = None
     if args.baseline:
-        base_cfg = approx_mod.SweepConfig(
-            pattern=pattern, epsilon=cloud.epsilon, angles=args.angles
-        )
+        base_cfg = replace(cfg, epsilon=cloud.epsilon)
         baseline = approx_mod.random_cloud(A, base_cfg, args.baseline, args.seed)
         base_path = args.out + ".baseline.csv"
         io.save_cloud(base_path, baseline, sha)
@@ -159,6 +158,8 @@ def cmd_oracle(args) -> int:
         cloud, header = io.load_cloud(args.check, dim_hint=A.shape[0])
         if header["matrix_sha256"] != io.matrix_hash(args.matrix):
             raise BadParams("cloud file was generated from a different matrix")
+        if not len(cloud):
+            raise BadParams("cloud file holds no points")
 
     # The window and the grid only feed --out and --eps-list.
     if args.out or eps_list:

@@ -210,7 +210,7 @@ def load_cloud(path: str, dim_hint: int = 0):
 
 def grid_to_csv(field) -> str:
     re_min, re_max, im_min, im_max = field.bounds
-    n_re, n_im = field.resolution
+    n_re, n_im = field.values.shape
     lines = [
         f"# bounds={_fmt(re_min)},{_fmt(re_max)},{_fmt(im_min)},{_fmt(im_max)}",
         f"# resolution={n_re}x{n_im}",

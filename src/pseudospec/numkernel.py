@@ -113,7 +113,6 @@ class Eigensystem:
     eigenvalues: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
-    min_gap: float
 
     @property
     def dim(self) -> int:
@@ -182,9 +181,9 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
 
     One LAPACK eigensolve (xGEEV) returns each eigenvalue with its right and
     left eigenvector.  It runs on B = A / 2^e of :func:`_scaled`, so no norm
-    can overflow.  All checks run on B; eigenvalues and ``min_gap`` are
-    scaled back by 2^e.  Raises DefectiveInput for the zero matrix and when the
-    minimal eigenvalue gap falls below ``GAP_TOL_FACTOR * ||A||_F``, and
+    can overflow.  All checks run on B; eigenvalues are scaled back by
+    2^e.  Raises DefectiveInput for the zero matrix and when the minimal
+    eigenvalue gap falls below ``GAP_TOL_FACTOR * ||A||_F``, and
     NonConvergence when a right or left residual exceeds
     ``TOL_EIG * ||A||_F``.
     """
@@ -224,7 +223,6 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
         eigenvalues=np.ldexp(w.view(float), e).view(complex),
         rights=rights,
         lefts=lefts,
-        min_gap=float(np.ldexp(gap, e)),
     )
 
 
@@ -323,9 +321,4 @@ def tridiag_toeplitz_reference(
     w = w[order]
     rights, lefts = _normalized_triples(rights[:, order], lefts[:, order])
 
-    return Eigensystem(
-        eigenvalues=w,
-        rights=rights,
-        lefts=lefts,
-        min_gap=_min_pairwise_gap(w),
-    )
+    return Eigensystem(eigenvalues=w, rights=rights, lefts=lefts)

@@ -28,30 +28,27 @@ class GridField:
     """sigma_min(A - z I) sampled at the cell centers of a window."""
 
     bounds: tuple  # (re_min, re_max, im_min, im_max)
-    resolution: tuple  # (n_re, n_im)
     values: np.ndarray  # shape (n_re, n_im)
 
     @property
     def re_centers(self) -> np.ndarray:
         re_min, re_max, _, _ = self.bounds
-        n_re = self.resolution[0]
+        n_re = self.values.shape[0]
         step = (re_max - re_min) / n_re
         return re_min + step * (np.arange(n_re) + 0.5)
 
     @property
     def im_centers(self) -> np.ndarray:
         _, _, im_min, im_max = self.bounds
-        n_im = self.resolution[1]
+        n_im = self.values.shape[1]
         step = (im_max - im_min) / n_im
         return im_min + step * (np.arange(n_im) + 0.5)
 
     @property
     def cell_width(self) -> float:
         re_min, re_max, im_min, im_max = self.bounds
-        return max(
-            (re_max - re_min) / self.resolution[0],
-            (im_max - im_min) / self.resolution[1],
-        )
+        n_re, n_im = self.values.shape
+        return max((re_max - re_min) / n_re, (im_max - im_min) / n_im)
 
 
 def default_window(sys, epsilon: float) -> tuple:
@@ -78,7 +75,7 @@ def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridFiel
         raise OutOfBounds("window bounds are degenerate")
     if n_re < 2 or n_im < 2:
         raise OutOfBounds("resolution must be at least 2x2")
-    field = GridField(bounds, (n_re, n_im), np.empty((n_re, n_im)))
+    field = GridField(bounds, np.empty((n_re, n_im)))
     zs = field.re_centers[:, None] + 1j * field.im_centers[None, :]
     values = sigma_min_batch(A, zs.ravel())
     field.values[:] = values.reshape(n_re, n_im)
@@ -89,13 +86,12 @@ def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridFiel
 class InclusionReport:
     total: int
     passed: int
-    failed: int
     worst_value: float
     worst_point: complex | None
 
     @property
     def all_passed(self) -> bool:
-        return self.failed == 0
+        return self.passed == self.total
 
 
 def cloud_inclusion_check(cloud: PointCloud, A: np.ndarray, slack: float) -> InclusionReport:
@@ -124,12 +120,10 @@ def cloud_inclusion_check(cloud: PointCloud, A: np.ndarray, slack: float) -> Inc
         todo = order[done : done + _WORST_BLOCK]
         todo = todo[bounds[todo] >= values.max()]
         done += _WORST_BLOCK
-    ok = values <= limit
     worst = int(np.argmax(values)) if values.size else None
     return InclusionReport(
         total=int(values.size),
-        passed=int(ok.sum()),
-        failed=int((~ok).sum()),
+        passed=int(np.count_nonzero(values <= limit)),
         worst_value=float(values[worst]) if worst is not None else 0.0,
         worst_point=complex(cloud.points[worst]) if worst is not None else None,
     )

@@ -32,15 +32,14 @@ class StructurePattern:
     """The perturbation set S.
 
     ``support`` holds diagonal offsets (Toeplitz) or antidiagonal offsets
-    (Hankel) in [-(dim-1), dim-1]; ``n_half`` is the Hamiltonian
-    half-dimension; ``real`` restricts random members to real matrices
-    (real Hamiltonian / real Toeplitz perturbations of a real matrix).
+    (Hankel) in [-(dim-1), dim-1]; ``real`` restricts random members to
+    real matrices (real Hamiltonian / real Toeplitz perturbations of a real
+    matrix).
     """
 
     kind: str
     dim: int
     support: frozenset | None = None
-    n_half: int | None = None
     real: bool = False
 
     def __post_init__(self):
@@ -53,9 +52,13 @@ class StructurePattern:
                 raise DimensionMismatch(f"{self.kind} pattern needs a support set")
             if any(abs(k) > self.dim - 1 for k in self.support):
                 raise DimensionMismatch("support offsets out of range")
-        if self.kind == HAMILTONIAN:
-            if self.n_half is None or self.dim != 2 * self.n_half:
-                raise DimensionMismatch("Hamiltonian pattern needs dim = 2 * n_half")
+        if self.kind == HAMILTONIAN and self.dim % 2:
+            raise DimensionMismatch("Hamiltonian pattern needs dim = 2 * n_half")
+
+    @property
+    def n_half(self) -> int:
+        """The Hamiltonian half-dimension, dim / 2."""
+        return self.dim // 2
 
 
 def full(dim: int) -> StructurePattern:
@@ -71,7 +74,7 @@ def hankel(dim: int, support, real: bool = False) -> StructurePattern:
 
 
 def hamiltonian(n_half: int, real: bool = False) -> StructurePattern:
-    return StructurePattern(HAMILTONIAN, 2 * n_half, n_half=n_half, real=real)
+    return StructurePattern(HAMILTONIAN, 2 * n_half, real=real)
 
 
 def pattern_to_dict(S: StructurePattern) -> dict:
@@ -79,7 +82,7 @@ def pattern_to_dict(S: StructurePattern) -> dict:
     d = {"kind": S.kind, "real": S.real}
     if S.support is not None:
         d["support"] = sorted(S.support)
-    if S.n_half is not None:
+    if S.kind == HAMILTONIAN:
         d["n_half"] = S.n_half
     return d
 
@@ -90,7 +93,8 @@ def pattern_from_dict(d, dim: int) -> StructurePattern:
     ``dim`` must be an integer, and the object must have a string ``kind``
     and, where given, a list of integers ``support``, an integer ``n_half``
     and a boolean ``real``; anything else raises BadParams.  JSON booleans
-    are not integers here.
+    are not integers here.  ``n_half`` is only checked: a Hamiltonian
+    object needs it equal to dim / 2, and any other kind must not have it.
     """
     if type(dim) is not int:
         raise BadParams(f"'dim' must be an integer, not {dim!r}")
@@ -108,13 +112,17 @@ def pattern_from_dict(d, dim: int) -> StructurePattern:
             "given, a list of integers 'support', an integer 'n_half' and a "
             "boolean 'real'"
         )
-    return StructurePattern(
+    S = StructurePattern(
         kind=d["kind"],
         dim=dim,
         support=frozenset(support) if "support" in d else None,
-        n_half=d.get("n_half"),
         real=d.get("real", False),
     )
+    if S.kind != HAMILTONIAN and "n_half" in d:
+        raise BadParams(f"'n_half' belongs to a hamiltonian structure, not a {S.kind} one")
+    if S.kind == HAMILTONIAN and d.get("n_half") != S.n_half:
+        raise DimensionMismatch("Hamiltonian pattern needs dim = 2 * n_half")
+    return S
 
 
 def toeplitz_support_of(A: np.ndarray) -> frozenset:

@@ -15,7 +15,7 @@ from pseudospec import cli, errors, families, full, hamiltonian, hankel, io, num
 from pseudospec.cli import STRUCTURE_CHOICES, _resolve_pattern, build_parser, main
 from pseudospec.errors import BadParams
 from pseudospec.families import generate
-from pseudospec.structures import toeplitz_matrix
+from pseudospec.structures import symplectic_j, toeplitz_matrix
 
 
 def run(*argv):
@@ -397,6 +397,28 @@ def test_malformed_structure_exit_2(tmp_path, capsys, structure):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("A,structure", [
+    (symplectic_j(2), {"kind": "hamiltonian"}),
+    (symplectic_j(2), {"kind": "hamiltonian", "n_half": 1}),
+    (np.eye(3), {"kind": "hamiltonian", "n_half": 1}),
+    (np.eye(4), {"kind": "full", "n_half": 2}),
+    (np.eye(4), {"kind": "toeplitz", "support": [0], "n_half": 2}),
+    (np.eye(4)[::-1], {"kind": "hankel", "support": [0], "n_half": 2}),
+], ids=["hamiltonian-missing", "hamiltonian-not-half", "hamiltonian-odd-dim", "full",
+        "toeplitz", "hankel"])
+def test_misplaced_n_half_exit_2(tmp_path, capsys, A, structure):
+    # Each even-dimensional matrix is a member of its pattern, so only
+    # n_half can reject it; no odd-dimensional Hamiltonian pattern exists.
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), A)
+    doc = json.loads(path.read_text())
+    doc["structure"] = structure
+    path.write_text(json.dumps(doc))
+    assert run("analyze", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_half" in err
+
+
 def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
     path = tmp_path / "m.json"
     io.save_matrix(str(path), np.zeros((2, 2)))
@@ -451,6 +473,7 @@ _CLOUD_TAMPERING = {
     "epsilon-nan": (r"^# epsilon=.*$", "# epsilon=nan"),
     **{f"no-{key}-line": (rf"^# {key}=.*\n", "") for key in _REQUIRED_CLOUD_LINES},
     "no-column-line": (r"^re,im,.*\n", ""),
+    "n_half-on-toeplitz": (r"^(# support=.*)$", r"\1\n# n_half=2"),
     "missing-file": None,
 }
 
@@ -491,6 +514,16 @@ def test_tampered_cloud_module_run_exit_2_without_traceback(matrix_file, tmp_pat
     )
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_header_only_cloud_exit_2_before_any_write(matrix_file, tmp_path, capsys):
+    cloud = _tampered_cloud(matrix_file, tmp_path, (r"^(re,im,.*\n)(?s:.*)", r"\1"))
+    assert len(io.load_cloud(str(cloud), dim_hint=5)[0]) == 0
+    capsys.readouterr()
+    grid = tmp_path / "g.csv"
+    assert run("oracle", matrix_file, "--res", "20x20", "--check", cloud, "--out", grid) == 2
+    assert capsys.readouterr() == ("", "error: cloud file holds no points\n")
+    assert not grid.exists()
 
 
 def test_oracle_bounds_grid_of_jordan_block(tmp_path):

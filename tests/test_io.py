@@ -114,7 +114,7 @@ def test_grid_rows_match_per_row_format(shape, bounds, data):
     values = np.array(
         data.draw(st.lists(floats, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
     ).reshape(shape)
-    field = GridField(bounds=bounds, resolution=shape, values=values)
+    field = GridField(bounds=bounds, values=values)
     expected = "".join(
         f"{_fmt(field.re_centers[i])},{_fmt(field.im_centers[j])},{_fmt(values[i, j])}\n"
         for i in range(shape[0])
@@ -129,7 +129,7 @@ def test_grid_csv_matches_the_three_column_formatter(shape):
     values = rng.standard_normal(shape) ** 2
     values.flat[0] = 0.0
     values.flat[-1] = 1e-310
-    field = GridField(bounds=(-1.3, 2.7, -1e-300, 3e300), resolution=shape, values=values)
+    field = GridField(bounds=(-1.3, 2.7, -1e-300, 3e300), values=values)
     text = io.grid_to_csv(field)
     rows = io.format_rows(
         "%.17g,%.17g,%.17g\n",

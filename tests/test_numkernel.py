@@ -149,7 +149,6 @@ class TestEigPairs:
         base = eig_pairs(A)
         scaled = eig_pairs(2.0**k * A)
         assert np.array_equal(scaled.eigenvalues, base.eigenvalues * 2.0**k)
-        assert scaled.min_gap == base.min_gap * 2.0**k
         assert np.array_equal(scaled.rights, base.rights)
         assert np.array_equal(scaled.lefts, base.lefts)
         assert np.array_equal(scaled.overlaps, base.overlaps)
@@ -290,7 +289,6 @@ class TestHamiltonianPhaseNormalize:
             eigenvalues=np.array([0.0j, 1.0, 2.0, 3.0]),
             rights=np.column_stack([x, np.eye(4, dtype=complex)[:, 1:]]),
             lefts=np.column_stack([y, np.eye(4, dtype=complex)[:, 1:]]),
-            min_gap=1.0,
         )
         out = hamiltonian_phase_normalize(sys, 2)
         c = np.vdot(out.lefts[:, 0], J @ out.rights[:, 0])
@@ -307,7 +305,6 @@ class TestHamiltonianPhaseNormalize:
             eigenvalues=np.arange(4).astype(complex),
             rights=np.eye(4, dtype=complex),
             lefts=np.column_stack([y, x, np.eye(4, dtype=complex)[:, 2:]]),
-            min_gap=1.0,
         )
         out = hamiltonian_phase_normalize(sys, 2)
         np.testing.assert_array_equal(out.lefts[:, 0], y)

@@ -78,7 +78,7 @@ class TestCloudInclusion:
         bad = replace(cloud, points=bad_points)
         report = cloud_inclusion_check(bad, A, slack=1e-8)
         assert not report.all_passed
-        assert report.failed == 1
+        assert report.total - report.passed == 1
         assert report.worst_point == pytest.approx(1.5)
         assert report.worst_value == pytest.approx(1.5, abs=1e-12)
 
@@ -189,7 +189,7 @@ class TestCertifiedInclusion:
         assert cloud_inclusion_check(cloud, A, slack) == certified
         values = sigma_min_batch(A, cloud.points)
         limit = cloud.epsilon * (1 + slack)
-        assert certified.failed == np.count_nonzero(values > limit)
+        assert certified.passed == np.count_nonzero(values <= limit)
         assert certified.worst_value == values.max()
         assert certified.worst_point == cloud.points[np.argmax(values)]
 
@@ -223,5 +223,5 @@ class TestCertifiedInclusion:
         cfg = SweepConfig(pattern=full(2), epsilon=0.1, angles=2, pair_override=(0, 1))
         cloud = replace(sweep_wilkinson(A, eig_pairs(A), cfg), points=np.zeros(0, dtype=complex))
         report = cloud_inclusion_check(cloud, A, slack=0.0)
-        assert (report.total, report.passed, report.failed) == (0, 0, 0)
+        assert (report.total, report.passed) == (0, 0)
         assert report.worst_point is None and report.all_passed

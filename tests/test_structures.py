@@ -25,7 +25,7 @@ from pseudospec import (
 )
 from pseudospec.errors import BadParams, DimensionMismatch, ZeroProjection
 from pseudospec.numkernel import _column_dots, _unit_phases
-from pseudospec.structures import _project_banded, pattern_from_dict
+from pseudospec.structures import _project_banded, pattern_from_dict, pattern_to_dict
 
 RNG = np.random.default_rng(2024)
 
@@ -190,8 +190,7 @@ class TestJRule:
         n = 2 * h
         rights = self._matrix(seed, (n, n), real, zeros)
         lefts = self._matrix(seed + 1, (n, n), real, zeros)
-        sys = Eigensystem(eigenvalues=np.arange(n, dtype=complex), rights=rights,
-                          lefts=lefts, min_gap=1.0)
+        sys = Eigensystem(eigenvalues=np.arange(n, dtype=complex), rights=rights, lefts=lefts)
         dense = lefts * _unit_phases(_column_dots(lefts, symplectic_j(h) @ rights))
         out = hamiltonian_phase_normalize(sys, h)
         assert out.lefts.tobytes() == dense.tobytes()
@@ -307,3 +306,28 @@ def test_project_banded_bitwise_equals_per_diagonal_loop():
 def test_pattern_from_dict_rejects_non_integers(d, dim, named):
     with pytest.raises(BadParams, match=named):
         pattern_from_dict(d, dim)
+
+
+@st.composite
+def _structure_objects(draw):
+    """A valid structure object as ``pattern_to_dict`` writes it, and its dim."""
+    kind = draw(st.sampled_from(["full", "toeplitz", "hankel", "hamiltonian"]))
+    dim = draw(st.integers(2, 12))
+    d = {"kind": kind, "real": draw(st.booleans())}
+    if kind in ("toeplitz", "hankel"):
+        offsets = st.integers(-(dim - 1), dim - 1)
+        d["support"] = sorted(draw(st.sets(offsets, min_size=1)))
+    if kind == "hamiltonian":
+        dim += dim % 2
+        d["n_half"] = dim // 2
+    return d, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_structure_objects())
+def test_structure_object_round_trips_unchanged(case):
+    d, dim = case
+    S = pattern_from_dict(d, dim)
+    assert pattern_to_dict(S) == d
+    assert pattern_from_dict(pattern_to_dict(S), dim) == S
+
