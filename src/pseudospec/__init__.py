@@ -12,7 +12,6 @@ from .approx import (
     first_order_trajectories,
     radius_lower_bound,
     random_cloud,
-    subcloud,
     sweep_wilkinson,
 )
 from .numkernel import (

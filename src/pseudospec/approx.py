@@ -261,12 +261,6 @@ def _component_match(cloud: PointCloud, sys: Eigensystem) -> np.ndarray:
     return matched
 
 
-def subcloud(cloud: PointCloud, sys: Eigensystem, i: int) -> np.ndarray:
-    """Points of a sweep cloud matched to the component of eigenvalue i:
-    over every block of the cloud, the point assigned to lambda_i."""
-    return _component_match(cloud, sys)[:, i]
-
-
 def coalescence_gap(cloud: PointCloud, sys: Eigensystem, pair: tuple) -> float:
     """Minimum distance between the two per-eigenvalue sub-clouds.
 

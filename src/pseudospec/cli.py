@@ -129,9 +129,7 @@ def cmd_approx(args) -> int:
 
     if args.svg:
         window = oracle.default_window(sys_, cloud.epsilon)
-        clouds = [("wilkinson_sweep", cloud.points)]
-        if baseline is not None:
-            clouds.append(("random_baseline", baseline.points))
+        clouds = [(c.kind, c.points) for c in (cloud, baseline) if c is not None]
         io.atomic_write(args.svg, svg.svg_render(clouds, sys_.eigenvalues, window))
         print(f"wrote {args.svg}")
     return 0

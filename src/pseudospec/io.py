@@ -179,7 +179,8 @@ def load_cloud(path: str, dim_hint: int = 0):
     if missing:
         raise BadParams(f"cloud header lacks the {', '.join(missing)} line")
     extra = {k: json.loads(header[k]) for k in _CLOUD_KEYS if k in header}
-    pattern = pattern_from_dict({"kind": header["pattern"], **extra}, extra["dim"])
+    structure = {k: v for k, v in extra.items() if k in ("real", "support", "n_half")}
+    pattern = pattern_from_dict({"kind": header["pattern"], **structure}, extra["dim"])
     if dim_hint and pattern.dim != dim_hint:
         raise BadParams(f"cloud dim {pattern.dim} does not match the matrix dimension {dim_hint}")
     # The angles and samples lines read 0 where the meta lacks them; sweeps

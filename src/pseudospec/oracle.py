@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import PointCloud
 from .errors import EmptyLevelSet, OutOfBounds
 from .numkernel import _sigma_min_bounds, sigma_min_batch
 from .sensitivity import kappas
@@ -21,6 +20,11 @@ from .structures import full
 DEFAULT_RESOLUTION = (200, 200)
 # Points per SVD batch in the search for the worst point of a cloud.
 _WORST_BLOCK = 8
+
+
+def _centers(lo: float, hi: float, count: int) -> np.ndarray:
+    """The centers of ``count`` equal cells splitting [lo, hi]."""
+    return lo + (hi - lo) / count * (np.arange(count) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -32,17 +36,11 @@ class GridField:
 
     @property
     def re_centers(self) -> np.ndarray:
-        re_min, re_max, _, _ = self.bounds
-        n_re = self.values.shape[0]
-        step = (re_max - re_min) / n_re
-        return re_min + step * (np.arange(n_re) + 0.5)
+        return _centers(*self.bounds[:2], self.values.shape[0])
 
     @property
     def im_centers(self) -> np.ndarray:
-        _, _, im_min, im_max = self.bounds
-        n_im = self.values.shape[1]
-        step = (im_max - im_min) / n_im
-        return im_min + step * (np.arange(n_im) + 0.5)
+        return _centers(*self.bounds[2:], self.values.shape[1])
 
     @property
     def cell_width(self) -> float:
@@ -75,11 +73,8 @@ def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridFiel
         raise OutOfBounds("window bounds are degenerate")
     if n_re < 2 or n_im < 2:
         raise OutOfBounds("resolution must be at least 2x2")
-    field = GridField(bounds, np.empty((n_re, n_im)))
-    zs = field.re_centers[:, None] + 1j * field.im_centers[None, :]
-    values = sigma_min_batch(A, zs.ravel())
-    field.values[:] = values.reshape(n_re, n_im)
-    return field
+    zs = _centers(re_min, re_max, n_re)[:, None] + 1j * _centers(im_min, im_max, n_im)[None, :]
+    return GridField(bounds, sigma_min_batch(A, zs.ravel()).reshape(n_re, n_im))
 
 
 @dataclass(frozen=True)
@@ -94,8 +89,9 @@ class InclusionReport:
         return self.passed == self.total
 
 
-def cloud_inclusion_check(cloud: PointCloud, A: np.ndarray, slack: float) -> InclusionReport:
-    """Verify sigma_min(A - z I) <= eps * (1 + slack) for every cloud point.
+def cloud_inclusion_check(cloud, A: np.ndarray, slack: float) -> InclusionReport:
+    """Verify sigma_min(A - z I) <= eps * (1 + slack) for every point of a
+    :class:`~pseudospec.approx.PointCloud`.
 
     A point whose Schur-form bound beta(z) >= sigma_min (see
     ``numkernel._sigma_min_bounds``) is within the limit passes without an

@@ -52,6 +52,8 @@ class StructurePattern:
                 raise DimensionMismatch(f"{self.kind} pattern needs a support set")
             if any(abs(k) > self.dim - 1 for k in self.support):
                 raise DimensionMismatch("support offsets out of range")
+        elif self.support is not None:
+            raise DimensionMismatch(f"a {self.kind} pattern takes no 'support'")
         if self.kind == HAMILTONIAN and self.dim % 2:
             raise DimensionMismatch("Hamiltonian pattern needs dim = 2 * n_half")
 
@@ -112,6 +114,9 @@ def pattern_from_dict(d, dim: int) -> StructurePattern:
             "given, a list of integers 'support', an integer 'n_half' and a "
             "boolean 'real'"
         )
+    unknown = [k for k in d if k not in ("kind", "support", "n_half", "real")]
+    if unknown:
+        raise BadParams(f"'structure' has no key {unknown[0]!r}")
     S = StructurePattern(
         kind=d["kind"],
         dim=dim,
@@ -249,14 +254,15 @@ def projection_norms(lefts: np.ndarray, rights: np.ndarray, S: StructurePattern)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
-    """Rephase each eigen-triple so that Im(y^H J x) = 0.
+def hamiltonian_phase_normalize(sys: Eigensystem) -> Eigensystem:
+    """Rephase each eigen-triple so that Im(y^H J x) = 0, J as long as the eigenvectors.
 
     The rotation multiplies y by a unimodular factor, which preserves
     ``||y|| = 1`` and ``|y^H x|``.  Pairs with y^H J x = 0 are left unchanged.
     """
-    if sys.dim != 2 * n_half:
-        raise DimensionMismatch(f"eigensystem dimension {sys.dim} != 2 * {n_half}")
+    n_half, odd = divmod(sys.rights.shape[0], 2)
+    if odd:
+        raise DimensionMismatch("Hamiltonian eigenvectors need an even length")
     # y -> e^{i arg(c)} y sends c = y^H J x to |c| (real, nonnegative).
     c = _column_dots(sys.lefts, _j(sys.rights, n_half))
     return replace(sys, lefts=sys.lefts * _unit_phases(c))
@@ -265,9 +271,12 @@ def hamiltonian_phase_normalize(sys: Eigensystem, n_half: int) -> Eigensystem:
 def _structured(sys: Eigensystem, S: StructurePattern):
     """``(sys, S)`` as structured quantities read them: the complex span of S
     (where their maximality holds) and, for Hamiltonian S, the eigensystem
-    rephased to Im(y^H J x) = 0, which maximizes ||(y x^H)|_S|| over phases of y."""
+    rephased to Im(y^H J x) = 0, which maximizes ||(y x^H)|_S|| over phases of y.
+    Eigenvectors whose length is not ``S.dim`` raise DimensionMismatch."""
+    if sys.rights.shape[0] != S.dim:
+        raise DimensionMismatch(f"eigenvector length {sys.rights.shape[0]} != pattern dim {S.dim}")
     if S.kind == HAMILTONIAN:
-        sys = hamiltonian_phase_normalize(sys, S.n_half)
+        sys = hamiltonian_phase_normalize(sys)
     return sys, replace(S, real=False) if S.real else S
 
 

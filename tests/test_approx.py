@@ -20,7 +20,6 @@ from pseudospec import (
     random_cloud,
     random_member,
     random_rank_one,
-    subcloud,
     sweep_wilkinson,
     toeplitz,
 )
@@ -378,7 +377,7 @@ class TestSubcloudAndGap:
         sys = eig_pairs(A)
         cfg = SweepConfig(pattern=full(2), epsilon=0.2, angles=32, pair_override=(0, 1))
         cloud = sweep_wilkinson(A, sys, cfg)
-        sub0 = subcloud(cloud, sys, 0)
+        sub0 = _component_match(cloud, sys)[:, 0]
         assert sub0.size == 64
         # half the blocks perturb lambda_0 (circle), half leave it fixed
         on_circle = np.isclose(np.abs(sub0), 0.2, atol=1e-12)
@@ -418,7 +417,7 @@ class TestSubcloudAndGap:
 
         bad = replace(cloud, points=cloud.points[:-1])
         with pytest.raises(DegenerateSpectrum):
-            subcloud(bad, sys, 0)
+            _component_match(bad, sys)
 
     @pytest.mark.parametrize("family,n", [("pentadiag_toeplitz", 6), ("hamiltonian_random", 8)])
     def test_component_match_rows_permute_blocks(self, family, n):
@@ -438,7 +437,7 @@ class TestSubcloudAndGap:
                 cost = np.abs(block[:, None] - sys.eigenvalues[None, :])
                 rows, cols = linear_sum_assignment(cost)
                 expected.append(block[rows[cols == i][0]])
-            assert np.array_equal(subcloud(cloud, sys, i), np.array(expected))
+            assert np.array_equal(matched[:, i], np.array(expected))
 
 
     @pytest.mark.parametrize(
@@ -450,7 +449,7 @@ class TestSubcloudAndGap:
         sys = eig_pairs(A)
         cloud = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=200))
         pair = cloud.meta["pair"]
-        a, b = (subcloud(cloud, sys, i) for i in pair)
+        a, b = _component_match(cloud, sys)[:, list(pair)].T
         assert a.size * b.size > numkernel.STACK_ENTRIES
         assert coalescence_gap(cloud, sys, pair) == float(np.min(np.abs(a[:, None] - b[None, :])))
 

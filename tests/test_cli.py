@@ -419,6 +419,24 @@ def test_misplaced_n_half_exit_2(tmp_path, capsys, A, structure):
     assert err.startswith("error: ") and "n_half" in err
 
 
+@pytest.mark.parametrize("family,structure,key", [
+    ("tridiag_toeplitz", {"kind": "toeplitz", "support": [-1, 0, 1], "reel": True}, "'reel'"),
+    ("tridiag_toeplitz", {"kind": "full", "support": [0]}, "'support'"),
+    ("tridiag_toeplitz", {"kind": "full", "support": []}, "'support'"),
+    ("hamiltonian_random", {"kind": "hamiltonian", "n_half": 2, "support": [0]}, "'support'"),
+], ids=["misspelt-real", "support-on-full", "empty-support-on-full", "support-on-hamiltonian"])
+def test_foreign_structure_key_exit_2(tmp_path, capsys, family, structure, key):
+    # Without the named key, analyze reads each file with exit 0.
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), generate(family, 4, seed=0)[0])
+    doc = json.loads(path.read_text())
+    doc["structure"] = structure
+    path.write_text(json.dumps(doc))
+    assert run("analyze", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
     path = tmp_path / "m.json"
     io.save_matrix(str(path), np.zeros((2, 2)))
@@ -474,6 +492,8 @@ _CLOUD_TAMPERING = {
     **{f"no-{key}-line": (rf"^# {key}=.*\n", "") for key in _REQUIRED_CLOUD_LINES},
     "no-column-line": (r"^re,im,.*\n", ""),
     "n_half-on-toeplitz": (r"^(# support=.*)$", r"\1\n# n_half=2"),
+    # The sweep's pattern line turned to full, with support=[0] in place of its support line.
+    "support-on-full": (r"^# pattern=toeplitz$((?s:.*))^# support=.*$", r"# pattern=full\1# support=[0]"),
     "missing-file": None,
 }
 

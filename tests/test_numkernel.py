@@ -261,7 +261,7 @@ class TestHamiltonianPhaseNormalize:
 
     def test_makes_yjx_real(self):
         sys = self._random_sys(1)
-        out = hamiltonian_phase_normalize(sys, 2)
+        out = hamiltonian_phase_normalize(sys)
         J = symplectic_j(2)
         for i in range(4):
             c = np.vdot(out.lefts[:, i], J @ out.rights[:, i])
@@ -269,8 +269,8 @@ class TestHamiltonianPhaseNormalize:
 
     def test_idempotent_and_norm_preserving(self):
         sys = self._random_sys(2)
-        once = hamiltonian_phase_normalize(sys, 2)
-        twice = hamiltonian_phase_normalize(once, 2)
+        once = hamiltonian_phase_normalize(sys)
+        twice = hamiltonian_phase_normalize(once)
         np.testing.assert_allclose(once.lefts, twice.lefts, atol=1e-14)
         np.testing.assert_allclose(
             np.linalg.norm(once.lefts, axis=0), 1.0, atol=1e-12
@@ -290,7 +290,7 @@ class TestHamiltonianPhaseNormalize:
             rights=np.column_stack([x, np.eye(4, dtype=complex)[:, 1:]]),
             lefts=np.column_stack([y, np.eye(4, dtype=complex)[:, 1:]]),
         )
-        out = hamiltonian_phase_normalize(sys, 2)
+        out = hamiltonian_phase_normalize(sys)
         c = np.vdot(out.lefts[:, 0], J @ out.rights[:, 0])
         assert abs(c.imag) < 1e-14
         assert c.real > 0
@@ -306,13 +306,13 @@ class TestHamiltonianPhaseNormalize:
             rights=np.eye(4, dtype=complex),
             lefts=np.column_stack([y, x, np.eye(4, dtype=complex)[:, 2:]]),
         )
-        out = hamiltonian_phase_normalize(sys, 2)
+        out = hamiltonian_phase_normalize(sys)
         np.testing.assert_array_equal(out.lefts[:, 0], y)
 
     def test_odd_dimension_rejected(self):
-        sys = self._random_sys(3, n=4)
+        sys = self._random_sys(3, n=5)
         with pytest.raises(DimensionMismatch):
-            hamiltonian_phase_normalize(sys, 3)
+            hamiltonian_phase_normalize(sys)
 
 
 def _normalized_triples_loop(rights, lefts):

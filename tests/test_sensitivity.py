@@ -19,7 +19,7 @@ from pseudospec import (
     toeplitz_matrix,
     wilkinson,
 )
-from pseudospec.errors import DegenerateSpectrum
+from pseudospec.errors import DegenerateSpectrum, DimensionMismatch
 from pseudospec.families import generate
 from pseudospec.sensitivity import PAIR_TIE_RTOL, _closest_pair
 
@@ -85,7 +85,7 @@ class TestCondStructured:
 
         A, pattern, _ = generate("hamiltonian_random", 8, seed=5)
         sys = eig_pairs(A)
-        normed = hamiltonian_phase_normalize(sys, 4)
+        normed = hamiltonian_phase_normalize(sys)
         J = symplectic_j(4)
         for i in range(8):
             c = np.vdot(normed.lefts[:, i], J @ normed.rights[:, i])
@@ -356,6 +356,20 @@ def _near_tie_spectra():
         w = np.round(rng.standard_normal(n) + 1j * rng.standard_normal(n), int(rng.integers(0, 3)))
         kappa = rng.choice([0.0, 1.0, 2.0, rng.uniform(0.5, 3.0)], size=n)
         yield w, kappa
+
+
+@pytest.mark.parametrize(
+    "S", [full(6), toeplitz(6, {0, 1}), hankel(6, {0}), hamiltonian(3)],
+    ids=["full", "toeplitz", "hankel", "hamiltonian"],
+)
+@pytest.mark.parametrize("call", [
+    kappas, coalescence_estimate, analyze, lambda sys, S: wilkinson(sys, 0, S),
+], ids=["kappas", "coalescence_estimate", "analyze", "wilkinson"])
+def test_pattern_of_another_size_rejected(call, S):
+    # Five-long eigenvectors against a six-dimensional pattern, every kind.
+    sys = eig_pairs(generate("pentadiag_toeplitz", 5, seed=1)[0])
+    with pytest.raises(DimensionMismatch):
+        call(sys, S)
 
 
 def test_closest_pair_matches_double_loop():

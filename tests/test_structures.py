@@ -82,6 +82,13 @@ class TestMembership:
             is_member(np.eye(3), toeplitz(4, {0}))
 
 
+@pytest.mark.parametrize("kind", ["full", "hamiltonian"])
+@pytest.mark.parametrize("support", [frozenset({0}), frozenset()], ids=["offset-0", "empty"])
+def test_support_only_on_toeplitz_and_hankel(kind, support):
+    with pytest.raises(DimensionMismatch, match="support"):
+        StructurePattern(kind, 4, support=support)
+
+
 class TestProject:
     def test_toeplitz_diagonal_mean(self):
         P = project(np.array([[1.0, 2.0], [3.0, 4.0]]), toeplitz(2, {-1, 0, 1}))
@@ -192,7 +199,7 @@ class TestJRule:
         lefts = self._matrix(seed + 1, (n, n), real, zeros)
         sys = Eigensystem(eigenvalues=np.arange(n, dtype=complex), rights=rights, lefts=lefts)
         dense = lefts * _unit_phases(_column_dots(lefts, symplectic_j(h) @ rights))
-        out = hamiltonian_phase_normalize(sys, h)
+        out = hamiltonian_phase_normalize(sys)
         assert out.lefts.tobytes() == dense.tobytes()
         assert out.rights is rights
 
