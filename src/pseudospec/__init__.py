@@ -10,7 +10,6 @@ from .approx import (
     coverage_comparison,
     directed_coverage_distance,
     first_order_trajectories,
-    radius_lower_bound,
     random_cloud,
     sweep_wilkinson,
 )
@@ -18,7 +17,6 @@ from .numkernel import (
     Eigensystem,
     eig_pairs,
     sigma_min_batch,
-    tridiag_toeplitz_reference,
 )
 from .oracle import (
     GridField,
@@ -45,7 +43,6 @@ from .structures import (
     projection_norms,
     random_member,
     random_rank_one,
-    symplectic_j,
     toeplitz,
     toeplitz_matrix,
     toeplitz_support_of,

@@ -1,5 +1,5 @@
 """Sweep engines, random-perturbation baselines, first-order trajectories,
-and pseudospectral abscissa/radius lower bounds.
+and a pseudospectral abscissa lower bound.
 
 The Wilkinson sweep perturbs A by e^{i theta_k} * eps * W for the two most
 sensitive eigenvalues' (projected) Wilkinson directions W and a uniform angle
@@ -219,25 +219,15 @@ def first_order_trajectories(
     )
 
 
-def _all_ones_spectrum(A: np.ndarray, epsilon: float, S: StructurePattern) -> np.ndarray:
-    """Spectrum of A + eps * E for E the normalized projection of the
-    all-ones matrix onto S."""
+def abscissa_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:
+    """max Re of the spectrum of A + eps * E for E the normalized projection
+    of the all-ones matrix onto S; a lower bound for the (structured)
+    eps-pseudospectral abscissa."""
     if not 0.0 < epsilon < np.inf:
         raise ValueError("epsilon must be finite and positive")
     E = normalized_projection(np.ones(np.shape(A)), S)
-    return _perturbed_spectra(A, [E], np.array([float(epsilon)]))[0]
-
-
-def abscissa_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:
-    """max Re of the spectrum of A + eps * E for the all-ones direction E of
-    :func:`_all_ones_spectrum`; a lower bound for the (structured)
-    eps-pseudospectral abscissa."""
-    return float(np.max(_all_ones_spectrum(A, epsilon, S).real))
-
-
-def radius_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:
-    """As :func:`abscissa_lower_bound` with max |lambda| in place of max Re."""
-    return float(np.max(np.abs(_all_ones_spectrum(A, epsilon, S))))
+    spectrum = _perturbed_spectra(A, [E], np.array([float(epsilon)]))[0]
+    return float(np.max(spectrum.real))
 
 
 def _component_match(cloud: PointCloud, sys: Eigensystem) -> np.ndarray:

@@ -26,10 +26,6 @@ class DimensionMismatch(PseudospecError):
     2 or not fitting a structure pattern; a pattern of unknown kind or support."""
 
 
-class ZeroOffdiagonal(PseudospecError):
-    """Tridiagonal Toeplitz reference requires nonzero off-diagonal entries."""
-
-
 class ZeroProjection(NumericFailure):
     """Projection onto the structure subspace is numerically zero."""
 

@@ -166,15 +166,21 @@ def load_cloud(path: str, dim_hint: int = 0):
     ``(PointCloud, header_dict)``.
 
     The ``# key=value`` lines, with every fixed key and ``dim``, and the
-    column line are required, else BadParams.  A nonzero ``dim_hint`` is
-    the dimension of the matrix the cloud belongs to and must equal ``dim``.
+    column line are required; each key must be one :func:`cloud_to_csv`
+    writes, given once, and every point must be finite; else BadParams.  A
+    nonzero ``dim_hint`` is the dimension of the matrix the cloud belongs to
+    and must equal ``dim``.
     """
     with open(path, "rb") as fh:
         head, columns, body = fh.read().partition(f"\n{_CLOUD_COLUMNS}\n".encode())
     lines = head.decode().splitlines()
     if not columns or not all(line.startswith("# ") for line in lines):
         raise BadParams(f"a cloud file needs '# key=value' lines, then {_CLOUD_COLUMNS!r}")
-    header = dict(line[2:].partition("=")[::2] for line in lines)
+    header = {}
+    for key, value in (line[2:].partition("=")[::2] for line in lines):
+        if key in header or key not in (*_CLOUD_FIXED, *_CLOUD_KEYS):
+            raise BadParams(f"cloud header has an unknown or repeated {key!r} line")
+        header[key] = value
     missing = [k for k in (*_CLOUD_FIXED, "dim") if k not in header]
     if missing:
         raise BadParams(f"cloud header lacks the {', '.join(missing)} line")
@@ -195,6 +201,8 @@ def load_cloud(path: str, dim_hint: int = 0):
         rows = np.loadtxt(BytesIO(body), dtype=_CLOUD_ROW, delimiter=",", ndmin=1)
     points = np.empty(rows.shape, dtype=complex)
     points.real, points.imag = rows["re"], rows["im"]
+    if not np.all(np.isfinite(points)):
+        raise BadParams("cloud points must be finite")
     cloud = PointCloud(
         points=points,
         source_eigen=rows["source_eigen"],

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DefectiveInput,
-    DimensionMismatch,
-    NonConvergence,
-    ZeroOffdiagonal,
-)
+from .errors import DefectiveInput, DimensionMismatch, NonConvergence
 
 TOL_EIG = 1e-10
 GAP_TOL_FACTOR = 1e-8
@@ -290,35 +285,3 @@ def _sigma_min_bounds(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
         budget = 4 * n * u * (np.linalg.norm(T) + np.abs(z) + np.linalg.norm(B))
         beta = np.ldexp(residual + budget, e)
     return np.where(np.isfinite(beta), beta, np.inf)
-
-
-def tridiag_toeplitz_reference(
-    n: int, sub: complex, diag: complex, sup: complex
-) -> Eigensystem:
-    """Closed-form eigensystem of a tridiagonal Toeplitz matrix.
-
-    lambda_k = diag + 2 sqrt(sub * sup) cos(k pi / (n + 1)), with right
-    eigenvector components (sub/sup)^{j/2} sin(j k pi / (n + 1)).  Used as an
-    independent oracle against :func:`eig_pairs`.
-    """
-    if n < 2:
-        raise DimensionMismatch("n must be at least 2")
-    if sub == 0 or sup == 0:
-        raise ZeroOffdiagonal("closed form requires nonzero off-diagonals")
-
-    k = np.arange(1, n + 1)
-    root = np.sqrt(complex(sub) * complex(sup))
-    w = diag + 2.0 * root * np.cos(k * np.pi / (n + 1))
-
-    j = np.arange(1, n + 1)
-    ratio_r = (complex(sub) / complex(sup)) ** (j / 2.0)
-    ratio_l = (np.conj(complex(sup)) / np.conj(complex(sub))) ** (j / 2.0)
-    sines = np.sin(np.outer(j, k) * np.pi / (n + 1))
-    rights = ratio_r[:, None] * sines
-    lefts = ratio_l[:, None] * sines
-
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    rights, lefts = _normalized_triples(rights[:, order], lefts[:, order])
-
-    return Eigensystem(eigenvalues=w, rights=rights, lefts=lefts)

@@ -156,16 +156,8 @@ def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:
     return A
 
 
-def symplectic_j(n_half: int) -> np.ndarray:
-    """The dense 2n x 2n J = [[0, I], [-I, 0]]; the library applies J by :func:`_j`."""
-    J = np.zeros((2 * n_half, 2 * n_half))
-    J[:n_half, n_half:] = np.eye(n_half)
-    J[n_half:, :n_half] = -np.eye(n_half)
-    return J
-
-
 def _j(X: np.ndarray, n_half: int) -> np.ndarray:
-    """J X = [X_lower; -X_upper] for J = symplectic_j(n_half), by moves and
+    """J X = [X_lower; -X_upper] for J = [[0, I], [-I, 0]], by moves and
     negations only, so nothing rounds; X J = -(J X^T)^T, as J^T = -J."""
     return np.concatenate([X[n_half:], -X[:n_half]])
 

@@ -15,7 +15,8 @@ from pseudospec import cli, errors, families, full, hamiltonian, hankel, io, num
 from pseudospec.cli import STRUCTURE_CHOICES, _resolve_pattern, build_parser, main
 from pseudospec.errors import BadParams
 from pseudospec.families import generate
-from pseudospec.structures import symplectic_j, toeplitz_matrix
+from pseudospec.structures import toeplitz_matrix
+from references import symplectic_j
 
 
 def run(*argv):
@@ -489,6 +490,10 @@ _CLOUD_TAMPERING = {
     "dim-string": (r"^# dim=5$", '# dim="5"'),
     "dim-3-for-5x5": (r"^# dim=5$", "# dim=3"),
     "epsilon-nan": (r"^# epsilon=.*$", "# epsilon=nan"),
+    "unknown-key": (r"^(# real=true)$", r"\1\n# reel=false"),
+    "repeated-epsilon": (r"^(# epsilon=.*)$", r"\1\n# epsilon=10"),
+    "nan-point": (r"^(re,im,.*\n)[^\n]*$", r"\1nan,0,0,0,0"),
+    "inf-point": (r"^(re,im,.*\n)[^\n]*$", r"\1inf,0,0,0,0"),
     **{f"no-{key}-line": (rf"^# {key}=.*\n", "") for key in _REQUIRED_CLOUD_LINES},
     "no-column-line": (r"^re,im,.*\n", ""),
     "n_half-on-toeplitz": (r"^(# support=.*)$", r"\1\n# n_half=2"),

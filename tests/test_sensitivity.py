@@ -14,7 +14,6 @@ from pseudospec import (
     project,
     random_member,
     random_rank_one,
-    symplectic_j,
     toeplitz,
     toeplitz_matrix,
     wilkinson,
@@ -22,6 +21,7 @@ from pseudospec import (
 from pseudospec.errors import DegenerateSpectrum, DimensionMismatch
 from pseudospec.families import generate
 from pseudospec.sensitivity import PAIR_TIE_RTOL, _closest_pair
+from references import symplectic_j
 
 
 class TestCondStandard:
@@ -81,7 +81,7 @@ class TestCondStructured:
 
     def test_hamiltonian_closed_form(self):
         # with Im(y^H J x) = 0, ||(y x^H)|_H||_F^2 = (1 + |y^H J x|^2) / 2
-        from pseudospec import hamiltonian_phase_normalize, symplectic_j
+        from pseudospec import hamiltonian_phase_normalize
 
         A, pattern, _ = generate("hamiltonian_random", 8, seed=5)
         sys = eig_pairs(A)

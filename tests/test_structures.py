@@ -18,7 +18,6 @@ from pseudospec import (
     projection_norms,
     random_member,
     random_rank_one,
-    symplectic_j,
     toeplitz,
     toeplitz_matrix,
     toeplitz_support_of,
@@ -26,6 +25,7 @@ from pseudospec import (
 from pseudospec.errors import BadParams, DimensionMismatch, ZeroProjection
 from pseudospec.numkernel import _column_dots, _unit_phases
 from pseudospec.structures import _project_banded, pattern_from_dict, pattern_to_dict
+from references import symplectic_j
 
 RNG = np.random.default_rng(2024)
 
