@@ -10,7 +10,9 @@ perturbations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -89,34 +91,67 @@ def resolve_pair_and_epsilon(sys: Eigensystem, cfg: SweepConfig):
     return tuple(int(i) for i in pair), float(eps)
 
 
-def _perturbed_spectra(A: np.ndarray, directions, scales: np.ndarray):
-    """Spectra of A + c * D for every direction D and every scale c.
+def _layout(kind: str, pattern: StructurePattern, meta: dict, points: int | None = None):
+    """The one layout rule of a cloud: its rows and each point's provenance.
 
-    Stacked eigensolves over the flattened (direction x scale) axis, in
-    slices run by ``numkernel._stacked``; each spectrum is sorted by
-    (Re, Im).  Returns the points and, parallel to them, the direction
-    index and the scale index of each point.
+    A sweep has a row per (pair member, angle) and a baseline one per
+    (sample, angle), each the ``dim`` points of a spectrum; a trajectory a
+    row per (variant, eigenvalue), each its ``steps`` points, the variants
+    being E and, for a structured pattern, its projection.  Returns the
+    rows' two index arrays and the ``source_eigen``, ``angle_index`` and
+    ``sample_index`` columns.  A file passes its row count as ``points``: it
+    must be 0 or the layout's count, and bounds what is built.  BadParams
+    unless the meta holds exactly the kind's keys, with positive integer
+    counts and ``dim``, and a pair of two distinct indices below ``dim``.
+    """
+    keys = {WILKINSON_SWEEP: ("pair", "angles"), RANDOM_BASELINE: ("samples", "angles"),
+            TRAJECTORY: ("steps",)}.get(kind, ())
+    if not keys or set(meta) != set(keys):
+        raise BadParams(f"cloud kind {kind!r} with the meta keys {list(meta)} has no layout")
+    n, pair = pattern.dim, meta.get("pair", (0, 1))
+    counts = [meta[k] for k in keys if k != "pair"]
+    ints = isinstance(pair, tuple) and all(
+        isinstance(v, Integral) and not isinstance(v, bool) for v in (*pair, *counts))
+    if not (ints and len(pair) == 2 and 0 <= min(pair) < max(pair) < n and min(*counts, n) > 0):
+        raise BadParams(f"invalid {kind} meta {meta} for dim {n}")
+    if kind == TRAJECTORY:
+        shape = (1 if pattern.kind == FULL else 2, n, meta["steps"])
+    else:
+        shape = (len(pair) if kind == WILKINSON_SWEEP else meta["samples"], meta["angles"], n)
+    if points not in (None, 0, math.prod(shape)):
+        raise BadParams(f"the {kind} header lays out {math.prod(shape)} points, not the file's {points}")
+    a, b, c = np.unravel_index(np.arange(math.prod(shape) if points is None else points), shape)
+    if kind == TRAJECTORY:
+        columns = b, a, c
+    elif kind == WILKINSON_SWEEP:
+        columns = np.asarray(pair)[a], b, np.zeros_like(a)
+    else:
+        columns = np.full_like(a, -1), b, a
+    return (a[:: shape[2]], b[:: shape[2]]), columns
+
+
+def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.ndarray):
+    """Spectra of A + scales[p] * directions[terms[p]] for every row p.
+
+    Stacked eigensolves over the rows, in slices run by
+    ``numkernel._stacked``; each spectrum is sorted by (Re, Im), and the
+    points are returned flattened in row order.
     """
     A = np.asarray(A, dtype=complex)
     D = np.asarray(directions, dtype=complex)
-    n = A.shape[0]
-    m, K = D.shape[0], scales.shape[0]
-    d_idx = np.repeat(np.arange(m), K)
-    k_idx = np.tile(np.arange(K), m)
-    spectra = np.empty((m * K, n), dtype=complex)
+    spectra = np.empty((len(terms), A.shape[0]), dtype=complex)
 
     def work(rows):
         # One buffer per slice: gather, scale in place, add A.  The scale
         # stays the first factor, so each product rounds exactly as c * D.
-        stack = D[d_idx[rows]]
-        np.multiply(scales[k_idx[rows], None, None], stack, out=stack)
+        stack = D[terms[rows]]
+        np.multiply(scales[rows, None, None], stack, out=stack)
         stack += A
         spectra[rows] = np.linalg.eigvals(stack)
 
-    numkernel._stacked(work, m * K, n)
+    numkernel._stacked(work, len(terms), A.shape[0])
     order = np.lexsort((spectra.imag, spectra.real))
-    points = np.take_along_axis(spectra, order, axis=1).ravel()
-    return points, np.repeat(d_idx, n), np.repeat(k_idx, n)
+    return np.take_along_axis(spectra, order, axis=1).ravel()
 
 
 def _unit_circle(eps: float, K: int) -> np.ndarray:
@@ -131,18 +166,11 @@ def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointC
     A + e^{i theta_k} * eps * W is recorded, giving 2 * K * n points.
     """
     pair, eps = resolve_pair_and_epsilon(sys, cfg)
+    meta = {"pair": pair, "angles": cfg.angles}
+    (d, k), columns = _layout(WILKINSON_SWEEP, cfg.pattern, meta)
     directions = [wilkinson(sys, i, cfg.pattern) for i in pair]
-    points, d_idx, k_idx = _perturbed_spectra(A, directions, _unit_circle(eps, cfg.angles))
-    return PointCloud(
-        points=points,
-        source_eigen=np.asarray(pair)[d_idx],
-        angle_index=k_idx,
-        sample_index=np.zeros_like(k_idx),
-        epsilon=eps,
-        pattern=cfg.pattern,
-        kind=WILKINSON_SWEEP,
-        meta={"pair": pair, "angles": cfg.angles},
-    )
+    points = _perturbed_spectra(A, directions, d, _unit_circle(eps, cfg.angles)[k])
+    return PointCloud(points, *columns, eps, cfg.pattern, WILKINSON_SWEEP, meta=meta)
 
 
 def random_cloud(
@@ -157,26 +185,15 @@ def random_cloud(
         raise ValueError("samples must be at least 1")
     if cfg.epsilon is None:
         raise ValueError("random_cloud requires an explicit epsilon")
-    n = len(A)
+    meta = {"samples": samples, "angles": cfg.angles}
+    (s, k), columns = _layout(RANDOM_BASELINE, cfg.pattern, meta)
     rng = np.random.default_rng(seed)
     if cfg.pattern.kind == FULL:
-        directions = [random_rank_one(n, rng) for _ in range(samples)]
+        directions = [random_rank_one(len(A), rng) for _ in range(samples)]
     else:
         directions = [random_member(cfg.pattern, rng) for _ in range(samples)]
-    points, d_idx, k_idx = _perturbed_spectra(
-        A, directions, _unit_circle(cfg.epsilon, cfg.angles)
-    )
-    return PointCloud(
-        points=points,
-        source_eigen=np.full_like(d_idx, -1),
-        angle_index=k_idx,
-        sample_index=d_idx,
-        epsilon=cfg.epsilon,
-        pattern=cfg.pattern,
-        kind=RANDOM_BASELINE,
-        seed=seed,
-        meta={"samples": samples, "angles": cfg.angles},
-    )
+    points = _perturbed_spectra(A, directions, s, _unit_circle(cfg.epsilon, cfg.angles)[k])
+    return PointCloud(points, *columns, cfg.epsilon, cfg.pattern, RANDOM_BASELINE, seed, meta)
 
 
 def first_order_trajectories(
@@ -196,27 +213,13 @@ def first_order_trajectories(
     if eps_grid.size == 0 or not np.all(np.isfinite(eps_grid) & (eps_grid >= 0)):
         raise ValueError("eps grid must be non-empty, finite and non-negative")
     E = np.asarray(E, dtype=complex)
-    directions = [E]
-    if S.kind != FULL:
-        directions.append(normalized_projection(E, S))
+    meta = {"steps": int(eps_grid.size)}
+    (variant, i), columns = _layout(TRAJECTORY, S, meta)
+    directions = [E, normalized_projection(E, S)] if variant.any() else [E]
     _check_overlaps(sys, range(sys.dim))
-
-    n, m, V = sys.dim, eps_grid.size, len(directions)
-    slopes = np.array([
-        [np.vdot(sys.lefts[:, i], D @ sys.rights[:, i]) for i in range(n)]
-        for D in directions
-    ]) / sys.overlaps
-    points = sys.eigenvalues[None, :, None] + eps_grid[None, None, :] * slopes[:, :, None]
-    return PointCloud(
-        points=points.ravel(),
-        source_eigen=np.tile(np.repeat(np.arange(n), m), V),
-        angle_index=np.repeat(np.arange(V), n * m),
-        sample_index=np.tile(np.arange(m), V * n),
-        epsilon=float(eps_grid.max()),
-        pattern=S,
-        kind=TRAJECTORY,
-        meta={"steps": int(m)},
-    )
+    slopes = [np.vdot(sys.lefts[:, j], directions[v] @ sys.rights[:, j]) for v, j in zip(variant, i)]
+    points = sys.eigenvalues[i, None] + eps_grid * (np.array(slopes) / sys.overlaps[i])[:, None]
+    return PointCloud(points.ravel(), *columns, float(eps_grid.max()), S, TRAJECTORY, meta=meta)
 
 
 def abscissa_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:
@@ -226,7 +229,7 @@ def abscissa_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> 
     if not 0.0 < epsilon < np.inf:
         raise ValueError("epsilon must be finite and positive")
     E = normalized_projection(np.ones(np.shape(A)), S)
-    spectrum = _perturbed_spectra(A, [E], np.array([float(epsilon)]))[0]
+    spectrum = _perturbed_spectra(A, [E], np.zeros(1, dtype=int), np.array([float(epsilon)]))
     return float(np.max(spectrum.real))
 
 

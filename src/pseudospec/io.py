@@ -17,7 +17,7 @@ from io import BytesIO
 
 import numpy as np
 
-from .approx import PointCloud
+from .approx import RANDOM_BASELINE, PointCloud, _layout
 from .errors import BadParams
 from .structures import is_member, pattern_from_dict, pattern_to_dict
 
@@ -167,9 +167,11 @@ def load_cloud(path: str, dim_hint: int = 0):
 
     The ``# key=value`` lines, with every fixed key and ``dim``, and the
     column line are required; each key must be one :func:`cloud_to_csv`
-    writes, given once, and every point must be finite; else BadParams.  A
-    nonzero ``dim_hint`` is the dimension of the matrix the cloud belongs to
-    and must equal ``dim``.
+    writes, given once, and every point must be finite.  The kind, its
+    meta, the seed (a baseline's only) and, unless the file has no rows,
+    the provenance columns must follow the layout rule of ``approx``.  A
+    nonzero ``dim_hint`` is the dimension of the matrix the cloud belongs
+    to and must equal ``dim``.  Else BadParams.
     """
     with open(path, "rb") as fh:
         head, columns, body = fh.read().partition(f"\n{_CLOUD_COLUMNS}\n".encode())
@@ -189,13 +191,10 @@ def load_cloud(path: str, dim_hint: int = 0):
     pattern = pattern_from_dict({"kind": header["pattern"], **structure}, extra["dim"])
     if dim_hint and pattern.dim != dim_hint:
         raise BadParams(f"cloud dim {pattern.dim} does not match the matrix dimension {dim_hint}")
-    # The angles and samples lines read 0 where the meta lacks them; sweeps
-    # and baselines always have at least one of each.
+    # The angles and samples lines read 0 where the meta lacks them.
     meta = {k: int(header[k]) for k in ("angles", "samples") if header[k] != "0"}
-    if "pair" in extra:
-        meta["pair"] = tuple(extra["pair"])
-    if "steps" in extra:
-        meta["steps"] = extra["steps"]
+    meta.update((k, tuple(v) if type(v) is list else v)
+                for k, v in extra.items() if k in ("pair", "steps"))
     rows = np.empty(0, dtype=_CLOUD_ROW)  # loadtxt warns on empty input
     if body:
         rows = np.loadtxt(BytesIO(body), dtype=_CLOUD_ROW, delimiter=",", ndmin=1)
@@ -203,17 +202,14 @@ def load_cloud(path: str, dim_hint: int = 0):
     points.real, points.imag = rows["re"], rows["im"]
     if not np.all(np.isfinite(points)):
         raise BadParams("cloud points must be finite")
-    cloud = PointCloud(
-        points=points,
-        source_eigen=rows["source_eigen"],
-        angle_index=rows["angle_index"],
-        sample_index=rows["sample_index"],
-        epsilon=float(header["epsilon"]),
-        pattern=pattern,
-        kind=header["kind"],
-        seed=int(header["seed"]) if header["seed"] else None,
-        meta=meta,
-    )
+    kind, seed = header["kind"], int(header["seed"]) if header["seed"] else None
+    layout = _layout(kind, pattern, meta, points=rows.size)[1]
+    if (seed is None) == (kind == RANDOM_BASELINE):
+        raise BadParams(f"a {kind} cloud must {'' if seed is None else 'not '}have a seed")
+    provenance = [rows[name] for name in _CLOUD_ROW.names[2:]]
+    if not all(map(np.array_equal, provenance, layout)):
+        raise BadParams(f"cloud rows do not follow the {kind} layout of its header")
+    cloud = PointCloud(points, *provenance, float(header["epsilon"]), pattern, kind, seed, meta)
     return cloud, header
 
 

@@ -317,6 +317,19 @@ class TestBatchedEngine:
         monkeypatch.setattr(numkernel, "STACK_ENTRIES", 7 * n * n)
         self._check(A, S)
 
+    def test_row_table_matches_per_row_eigvals(self, engine_workers, monkeypatch):
+        # A table that is no (direction x scale) product: shuffled rows, and
+        # directions that repeat, in slices of 2 matrices.
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        D = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        terms = np.array([2, 0, 2, 1, 0, 0, 2])
+        scales = 1e-3 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 2 * 25)
+        points = approx._perturbed_spectra(A, D, terms, scales)
+        expected = [_sorted_spectrum(A + c * D[t]) for t, c in zip(terms, scales)]
+        assert np.array_equal(points, np.concatenate(expected))
+
     def test_slices_stay_within_budget(self, engine_workers, monkeypatch):
         A, pattern, _ = generate("hamiltonian_random", 6, seed=4)
         sys = eig_pairs(A)

@@ -100,6 +100,31 @@ def test_cloud_round_trip_is_lossless(tmp_path, make):
     assert (loaded.epsilon, loaded.kind, loaded.seed) == (cloud.epsilon, cloud.kind, cloud.seed)
 
 
+_KIND_OR_META_EDITS = {
+    "baseline-as-sweep": (_baseline_hamiltonian, r"^# kind=.*$", "# kind=wilkinson_sweep"),
+    "baseline-samples": (_baseline_hamiltonian, r"^# samples=3$", "# samples=2"),
+    "baseline-without-seed": (_baseline_hamiltonian, r"^# seed=4$", "# seed="),
+    "trajectory-as-baseline": (_trajectory, r"^# kind=.*$", "# kind=random_baseline"),
+    "trajectory-steps": (_trajectory, r"^# steps=4$", "# steps=99"),
+    # Rejected by the point count before any array of that size is built.
+    "trajectory-steps-huge": (_trajectory, r"^# steps=4$", f"# steps={10**15}"),
+    "trajectory-angles": (_trajectory, r"^# angles=0$", "# angles=4"),
+}
+
+
+@pytest.mark.parametrize("make,pattern,line", list(_KIND_OR_META_EDITS.values()),
+                         ids=list(_KIND_OR_META_EDITS))
+def test_edited_kind_or_meta_line_rejected(tmp_path, make, pattern, line):
+    path = tmp_path / "c.csv"
+    io.save_cloud(str(path), make(), "abc123")
+    text = path.read_text()
+    edited = re.sub(pattern, line, text, count=1, flags=re.MULTILINE)
+    assert edited != text
+    path.write_text(edited)
+    with pytest.raises(BadParams):
+        io.load_cloud(str(path))
+
+
 @pytest.mark.parametrize("command", ["analyze", "approx", "trajectory"])
 @pytest.mark.parametrize("flag", STRUCTURE_CHOICES)
 def test_structure_flag_accepted(command, flag):
@@ -499,6 +524,13 @@ _CLOUD_TAMPERING = {
     "n_half-on-toeplitz": (r"^(# support=.*)$", r"\1\n# n_half=2"),
     # The sweep's pattern line turned to full, with support=[0] in place of its support line.
     "support-on-full": (r"^# pattern=toeplitz$((?s:.*))^# support=.*$", r"# pattern=full\1# support=[0]"),
+    # The header's values and rows must follow the sweep layout: 2 x 4 rows of 5 points.
+    "kind-bogus": (r"^# kind=.*$", "# kind=bogus"),
+    "pair-out-of-range": (r"^# pair=.*$", "# pair=[0, 99]"),
+    "angles-edited": (r"^# angles=4$", "# angles=3"),
+    "samples-on-sweep": (r"^# samples=0$", "# samples=7"),
+    "provenance-row-edited": (r"^([^,\n]*,[^,\n]*),\d+,\d+,\d+\n\Z", r"\1,1,999,-7\n"),
+    "last-row-cut": (r"^[^\n]*\n\Z", ""),
     "missing-file": None,
 }
 
