@@ -11,7 +11,7 @@ perturbations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -23,6 +23,7 @@ from .sensitivity import _check_overlaps, coalescence_estimate, kappas, wilkinso
 from .structures import (
     FULL,
     StructurePattern,
+    _check_dim,
     full,
     normalized_projection,
     random_member,
@@ -55,27 +56,36 @@ class SweepConfig:
         if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and positive")
         pair = self.pair_override
-        if pair is not None and not (len(pair) == 2 and 0 <= min(pair) < max(pair) < self.pattern.dim):
+        if pair is not None and not _valid_pair(pair, self.pattern.dim):
             raise BadParams(f"invalid eigenvalue pair {pair}")
+
+
+def _valid_pair(pair: tuple, dim: int) -> bool:
+    return len(pair) == 2 and 0 <= min(pair) < max(pair) < dim
+
+
+def _provenance(column: int) -> property:
+    """Provenance column ``column`` of a cloud, as its layout gives it."""
+    return property(lambda c: _layout(c.kind, c.pattern, c.meta, len(c))[1][column])
 
 
 @dataclass(frozen=True)
 class PointCloud:
     """Tagged complex points: eigenvalues of perturbed matrices.
 
-    Provenance arrays run parallel to ``points``: the source eigenvalue index
-    (or -1 where not applicable), the angle index k, and the sample index.
+    ``meta`` holds the values of the kind's layout, a baseline's seed among
+    them.  The provenance columns parallel to ``points`` (the source
+    eigenvalue index or -1, the angle index k, the sample index) are derived
+    from it on request: BadParams unless the point count is 0 or the layout's.
     """
 
     points: np.ndarray
-    source_eigen: np.ndarray
-    angle_index: np.ndarray
-    sample_index: np.ndarray
     epsilon: float
     pattern: StructurePattern
     kind: str
-    seed: int | None = None
-    meta: dict = field(default_factory=dict)
+    meta: dict
+
+    source_eigen, angle_index, sample_index = map(_provenance, range(3))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -99,27 +109,27 @@ def _layout(kind: str, pattern: StructurePattern, meta: dict, points: int | None
     row per (variant, eigenvalue), each its ``steps`` points, the variants
     being E and, for a structured pattern, its projection.  Returns the
     rows' two index arrays and the ``source_eigen``, ``angle_index`` and
-    ``sample_index`` columns.  A file passes its row count as ``points``: it
-    must be 0 or the layout's count, and bounds what is built.  BadParams
-    unless the meta holds exactly the kind's keys, with positive integer
-    counts and ``dim``, and a pair of two distinct indices below ``dim``.
+    ``sample_index`` columns of ``points`` points, 0 or the layout's count
+    (None for the latter).  BadParams unless the meta holds exactly the
+    kind's keys: positive integer counts, a nonnegative integer seed and a
+    pair of two distinct indices below ``dim``.
     """
-    keys = {WILKINSON_SWEEP: ("pair", "angles"), RANDOM_BASELINE: ("samples", "angles"),
+    keys = {WILKINSON_SWEEP: ("pair", "angles"), RANDOM_BASELINE: ("samples", "angles", "seed"),
             TRAJECTORY: ("steps",)}.get(kind, ())
     if not keys or set(meta) != set(keys):
         raise BadParams(f"cloud kind {kind!r} with the meta keys {list(meta)} has no layout")
-    n, pair = pattern.dim, meta.get("pair", (0, 1))
-    counts = [meta[k] for k in keys if k != "pair"]
+    n, pair, seed = pattern.dim, meta.get("pair", (0, 1)), meta.get("seed", 0)
+    counts = [meta[k] for k in keys if k not in ("pair", "seed")]
     ints = isinstance(pair, tuple) and all(
-        isinstance(v, Integral) and not isinstance(v, bool) for v in (*pair, *counts))
-    if not (ints and len(pair) == 2 and 0 <= min(pair) < max(pair) < n and min(*counts, n) > 0):
+        isinstance(v, Integral) and not isinstance(v, bool) for v in (*pair, *counts, seed))
+    if not (ints and _valid_pair(pair, n) and min(*counts, n) > 0 and seed >= 0):
         raise BadParams(f"invalid {kind} meta {meta} for dim {n}")
     if kind == TRAJECTORY:
         shape = (1 if pattern.kind == FULL else 2, n, meta["steps"])
     else:
         shape = (len(pair) if kind == WILKINSON_SWEEP else meta["samples"], meta["angles"], n)
     if points not in (None, 0, math.prod(shape)):
-        raise BadParams(f"the {kind} header lays out {math.prod(shape)} points, not the file's {points}")
+        raise BadParams(f"the {kind} meta lays out {math.prod(shape)} points, not the cloud's {points}")
     a, b, c = np.unravel_index(np.arange(math.prod(shape) if points is None else points), shape)
     if kind == TRAJECTORY:
         columns = b, a, c
@@ -167,10 +177,10 @@ def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointC
     """
     pair, eps = resolve_pair_and_epsilon(sys, cfg)
     meta = {"pair": pair, "angles": cfg.angles}
-    (d, k), columns = _layout(WILKINSON_SWEEP, cfg.pattern, meta)
+    d, k = _layout(WILKINSON_SWEEP, cfg.pattern, meta)[0]
     directions = [wilkinson(sys, i, cfg.pattern) for i in pair]
     points = _perturbed_spectra(A, directions, d, _unit_circle(eps, cfg.angles)[k])
-    return PointCloud(points, *columns, eps, cfg.pattern, WILKINSON_SWEEP, meta=meta)
+    return PointCloud(points, eps, cfg.pattern, WILKINSON_SWEEP, meta)
 
 
 def random_cloud(
@@ -179,21 +189,21 @@ def random_cloud(
     """Baseline cloud from seeded random unit-norm perturbations.
 
     Rank-one random matrices for the full pattern, projected random members
-    for structured patterns; n * K * samples points.
+    for structured patterns; n * K * samples points.  DimensionMismatch
+    unless A fits the pattern; BadParams unless samples > 0 and seed >= 0.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     if cfg.epsilon is None:
         raise ValueError("random_cloud requires an explicit epsilon")
-    meta = {"samples": samples, "angles": cfg.angles}
-    (s, k), columns = _layout(RANDOM_BASELINE, cfg.pattern, meta)
+    A = _check_dim(A, cfg.pattern)
+    meta = {"samples": samples, "angles": cfg.angles, "seed": seed}
+    s, k = _layout(RANDOM_BASELINE, cfg.pattern, meta)[0]
     rng = np.random.default_rng(seed)
     if cfg.pattern.kind == FULL:
         directions = [random_rank_one(len(A), rng) for _ in range(samples)]
     else:
         directions = [random_member(cfg.pattern, rng) for _ in range(samples)]
     points = _perturbed_spectra(A, directions, s, _unit_circle(cfg.epsilon, cfg.angles)[k])
-    return PointCloud(points, *columns, cfg.epsilon, cfg.pattern, RANDOM_BASELINE, seed, meta)
+    return PointCloud(points, cfg.epsilon, cfg.pattern, RANDOM_BASELINE, meta)
 
 
 def first_order_trajectories(
@@ -207,19 +217,20 @@ def first_order_trajectories(
     For every eigenvalue, lambda_i(eps) ~ lambda_i + eps * (y^H E x)/(y^H x)
     along the given eps grid; for structured patterns the projected direction
     E|_S^ is traced as well.  angle_index tags the variant: 0 for E itself,
-    1 for the projection.
+    1 for the projection.  DimensionMismatch unless E and sys fit S.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0 or not np.all(np.isfinite(eps_grid) & (eps_grid >= 0)):
         raise ValueError("eps grid must be non-empty, finite and non-negative")
-    E = np.asarray(E, dtype=complex)
+    E = _check_dim(E, S)
+    _check_dim(sys.rights, S)
     meta = {"steps": int(eps_grid.size)}
-    (variant, i), columns = _layout(TRAJECTORY, S, meta)
+    variant, i = _layout(TRAJECTORY, S, meta)[0]
     directions = [E, normalized_projection(E, S)] if variant.any() else [E]
     _check_overlaps(sys, range(sys.dim))
     slopes = [np.vdot(sys.lefts[:, j], directions[v] @ sys.rights[:, j]) for v, j in zip(variant, i)]
     points = sys.eigenvalues[i, None] + eps_grid * (np.array(slopes) / sys.overlaps[i])[:, None]
-    return PointCloud(points.ravel(), *columns, float(eps_grid.max()), S, TRAJECTORY, meta=meta)
+    return PointCloud(points.ravel(), float(eps_grid.max()), S, TRAJECTORY, meta)
 
 
 def abscissa_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:

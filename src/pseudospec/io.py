@@ -17,7 +17,7 @@ from io import BytesIO
 
 import numpy as np
 
-from .approx import RANDOM_BASELINE, PointCloud, _layout
+from .approx import PointCloud, _layout
 from .errors import BadParams
 from .structures import is_member, pattern_from_dict, pattern_to_dict
 
@@ -126,34 +126,27 @@ def matrix_hash(path: str) -> str:
 
 # Cloud header: the fixed lines, then keys with JSON values: the pattern
 # (dim, real, support, n_half) and the meta entries without a fixed line.
-_CLOUD_FIXED = ("epsilon", "pattern", "kind", "angles", "samples", "seed", "matrix_sha256")
+# The meta entries with a fixed line read as _CLOUD_ABSENT where the meta lacks them.
+_CLOUD_ABSENT = {"angles": "0", "samples": "0", "seed": ""}
+_CLOUD_FIXED = ("epsilon", "pattern", "kind", *_CLOUD_ABSENT, "matrix_sha256")
 _CLOUD_KEYS = ("dim", "real", "support", "n_half", "pair", "steps")
 _CLOUD_COLUMNS = "re,im,source_eigen,angle_index,sample_index"
-_CLOUD_ROW = np.dtype([
-    ("re", float), ("im", float), ("source_eigen", int), ("angle_index", int),
-    ("sample_index", int),
-])
+_CLOUD_ROW = np.dtype([(k, float if k in ("re", "im") else int) for k in _CLOUD_COLUMNS.split(",")])
 
 
 def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
+    """The cloud's header, column line and rows, with the provenance columns
+    of the layout rule of ``approx``; BadParams where the cloud breaks it."""
+    columns = _layout(cloud.kind, cloud.pattern, cloud.meta, len(cloud))[1]
     extra = {"dim": cloud.pattern.dim, **pattern_to_dict(cloud.pattern), **cloud.meta}
-    fixed = (
-        _fmt(cloud.epsilon), cloud.pattern.kind, cloud.kind, cloud.meta.get("angles", 0),
-        cloud.meta.get("samples", 0), "" if cloud.seed is None else cloud.seed, matrix_sha,
-    )
+    fixed = (_fmt(cloud.epsilon), cloud.pattern.kind, cloud.kind,
+             *(cloud.meta.get(k, absent) for k, absent in _CLOUD_ABSENT.items()), matrix_sha)
     lines = [
         *(f"# {k}={v}" for k, v in zip(_CLOUD_FIXED, fixed)),
         *(f"# {k}={json.dumps(extra[k])}" for k in _CLOUD_KEYS if k in extra),
         _CLOUD_COLUMNS,
     ]
-    rows = format_rows(
-        "%.17g,%.17g,%d,%d,%d\n",
-        cloud.points.real,
-        cloud.points.imag,
-        cloud.source_eigen,
-        cloud.angle_index,
-        cloud.sample_index,
-    )
+    rows = format_rows("%.17g,%.17g,%d,%d,%d\n", cloud.points.real, cloud.points.imag, *columns)
     return "\n".join(lines) + "\n" + rows
 
 
@@ -167,11 +160,11 @@ def load_cloud(path: str, dim_hint: int = 0):
 
     The ``# key=value`` lines, with every fixed key and ``dim``, and the
     column line are required; each key must be one :func:`cloud_to_csv`
-    writes, given once, and every point must be finite.  The kind, its
-    meta, the seed (a baseline's only) and, unless the file has no rows,
-    the provenance columns must follow the layout rule of ``approx``.  A
-    nonzero ``dim_hint`` is the dimension of the matrix the cloud belongs
-    to and must equal ``dim``.  Else BadParams.
+    writes, given once, with a value that parses, and every point must be
+    finite.  The kind, its meta (a baseline's seed among it) and, unless
+    the file has no rows, the provenance columns must follow the layout
+    rule of ``approx``.  A nonzero ``dim_hint`` is the dimension of the
+    matrix the cloud belongs to and must equal ``dim``.  Else BadParams.
     """
     with open(path, "rb") as fh:
         head, columns, body = fh.read().partition(f"\n{_CLOUD_COLUMNS}\n".encode())
@@ -186,13 +179,19 @@ def load_cloud(path: str, dim_hint: int = 0):
     missing = [k for k in (*_CLOUD_FIXED, "dim") if k not in header]
     if missing:
         raise BadParams(f"cloud header lacks the {', '.join(missing)} line")
-    extra = {k: json.loads(header[k]) for k in _CLOUD_KEYS if k in header}
+
+    def parse(key, convert):
+        try:
+            return convert(header[key])
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise BadParams(f"cloud header line {key!r} does not parse ({exc})") from None
+
+    extra = {k: parse(k, json.loads) for k in _CLOUD_KEYS if k in header}
     structure = {k: v for k, v in extra.items() if k in ("real", "support", "n_half")}
     pattern = pattern_from_dict({"kind": header["pattern"], **structure}, extra["dim"])
     if dim_hint and pattern.dim != dim_hint:
         raise BadParams(f"cloud dim {pattern.dim} does not match the matrix dimension {dim_hint}")
-    # The angles and samples lines read 0 where the meta lacks them.
-    meta = {k: int(header[k]) for k in ("angles", "samples") if header[k] != "0"}
+    meta = {k: parse(k, int) for k, absent in _CLOUD_ABSENT.items() if header[k] != absent}
     meta.update((k, tuple(v) if type(v) is list else v)
                 for k, v in extra.items() if k in ("pair", "steps"))
     rows = np.empty(0, dtype=_CLOUD_ROW)  # loadtxt warns on empty input
@@ -202,14 +201,9 @@ def load_cloud(path: str, dim_hint: int = 0):
     points.real, points.imag = rows["re"], rows["im"]
     if not np.all(np.isfinite(points)):
         raise BadParams("cloud points must be finite")
-    kind, seed = header["kind"], int(header["seed"]) if header["seed"] else None
-    layout = _layout(kind, pattern, meta, points=rows.size)[1]
-    if (seed is None) == (kind == RANDOM_BASELINE):
-        raise BadParams(f"a {kind} cloud must {'' if seed is None else 'not '}have a seed")
-    provenance = [rows[name] for name in _CLOUD_ROW.names[2:]]
-    if not all(map(np.array_equal, provenance, layout)):
-        raise BadParams(f"cloud rows do not follow the {kind} layout of its header")
-    cloud = PointCloud(points, *provenance, float(header["epsilon"]), pattern, kind, seed, meta)
+    cloud = PointCloud(points, parse("epsilon", float), pattern, header["kind"], meta)
+    if not all(np.array_equal(rows[name], getattr(cloud, name)) for name in _CLOUD_ROW.names[2:]):
+        raise BadParams(f"cloud rows do not follow the {cloud.kind} layout of its header")
     return cloud, header
 
 

@@ -289,15 +289,9 @@ def normalized_projection(M: np.ndarray, S: StructurePattern) -> np.ndarray:
     return P / norm
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_member(S: StructurePattern, seed) -> np.ndarray:
     """Unit-norm member of S: seeded Gaussian draw, project, renormalize."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n = S.dim
     if S.real:
         G = rng.standard_normal((n, n)).astype(complex)
@@ -310,7 +304,7 @@ def random_rank_one(dim: int, seed) -> np.ndarray:
     """Unit-Frobenius-norm rank-one matrix u v^H from a seeded stream."""
     if dim < 2:
         raise DimensionMismatch("dim must be at least 2")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     E = np.outer(u, np.conj(v))

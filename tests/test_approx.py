@@ -24,7 +24,13 @@ from pseudospec import (
 )
 from pseudospec import approx, numkernel
 from pseudospec.approx import _component_match, resolve_pair_and_epsilon
-from pseudospec.errors import BadParams, DefectiveInput, DegenerateSpectrum, NonConvergence
+from pseudospec.errors import (
+    BadParams,
+    DefectiveInput,
+    DegenerateSpectrum,
+    DimensionMismatch,
+    NonConvergence,
+)
 from pseudospec.families import FAMILIES, generate
 
 
@@ -147,6 +153,19 @@ class TestRandomCloud:
         d = np.abs(cloud.points[:, None] - sys.eigenvalues[None, :]).min(axis=1)
         assert d.max() <= 2.0 * eps * kmax
 
+    @pytest.mark.parametrize("dim,samples,seed,error", [
+        (3, 1, 0, DimensionMismatch), (4, 0, 0, BadParams), (4, 1, -1, BadParams),
+    ], ids=["pattern-of-another-size", "no-samples", "negative-seed"])
+    def test_rejected_before_any_eigensolve(self, monkeypatch, dim, samples, seed, error):
+        def unreachable(*args):
+            raise AssertionError("eigensolve run")
+
+        monkeypatch.setattr(approx, "_perturbed_spectra", unreachable)
+        A, _, _ = generate("tridiag_toeplitz", 4, seed=0)
+        cfg = SweepConfig(pattern=full(dim), epsilon=0.1, angles=2)
+        with pytest.raises(error, match=r"\(4, 4\).* 3$" if dim == 3 else None):
+            random_cloud(A, cfg, samples, seed)
+
 
 class TestTrajectories:
     def test_zero_epsilon_is_spectrum(self):
@@ -176,6 +195,14 @@ class TestTrajectories:
         traj = first_order_trajectories(sys, E, np.linspace(0, 0.1, 5), pattern)
         assert set(np.unique(traj.angle_index)) == {0, 1}
         assert len(traj) == 2 * 4 * 5
+
+    # E of the matrix's size, then of the pattern's; the message names both sizes.
+    @pytest.mark.parametrize("e_dim", [4, 3])
+    def test_pattern_of_another_size_rejected(self, e_dim):
+        A, _, _ = generate("tridiag_toeplitz", 4, seed=5)
+        E = np.ones((e_dim, e_dim)) / e_dim
+        with pytest.raises(DimensionMismatch, match=r"\(4, 4\).* 3$"):
+            first_order_trajectories(eig_pairs(A), E, [0.0, 0.1], full(3))
 
     @pytest.mark.parametrize("grid", [[], [0.0, -0.1], [0.0, np.nan], [0.0, np.inf]])
     def test_bad_eps_grid_rejected(self, grid):

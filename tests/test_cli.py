@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,14 +97,16 @@ def test_cloud_round_trip_is_lossless(tmp_path, make):
     for name in ("points", "source_eigen", "angle_index", "sample_index"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(cloud, name))
     assert loaded.pattern == cloud.pattern
-    assert loaded.meta == cloud.meta
-    assert (loaded.epsilon, loaded.kind, loaded.seed) == (cloud.epsilon, cloud.kind, cloud.seed)
+    assert loaded.meta == cloud.meta  # a baseline's seed among it
+    assert (loaded.epsilon, loaded.kind) == (cloud.epsilon, cloud.kind)
 
 
 _KIND_OR_META_EDITS = {
     "baseline-as-sweep": (_baseline_hamiltonian, r"^# kind=.*$", "# kind=wilkinson_sweep"),
     "baseline-samples": (_baseline_hamiltonian, r"^# samples=3$", "# samples=2"),
     "baseline-without-seed": (_baseline_hamiltonian, r"^# seed=4$", "# seed="),
+    "baseline-seed-negative": (_baseline_hamiltonian, r"^# seed=4$", "# seed=-1"),
+    "sweep-with-seed": (_sweep_toeplitz, r"^# seed=$", "# seed=0"),
     "trajectory-as-baseline": (_trajectory, r"^# kind=.*$", "# kind=random_baseline"),
     "trajectory-steps": (_trajectory, r"^# steps=4$", "# steps=99"),
     # Rejected by the point count before any array of that size is built.
@@ -123,6 +126,17 @@ def test_edited_kind_or_meta_line_rejected(tmp_path, make, pattern, line):
     path.write_text(edited)
     with pytest.raises(BadParams):
         io.load_cloud(str(path))
+
+
+# The writer refuses a cloud off the layout of its meta, as the reader does.
+@pytest.mark.parametrize("edit", [
+    lambda c: replace(c, meta={**c.meta, "seed": 0}),
+    lambda c: replace(c, points=c.points[:-1]),
+    lambda c: replace(c, points=np.append(c.points, 0j)),
+], ids=["sweep-with-seed", "one-point-short", "one-point-over"])
+def test_cloud_off_its_layout_not_written(edit):
+    with pytest.raises(BadParams):
+        io.cloud_to_csv(edit(_sweep_toeplitz()), "abc123")
 
 
 @pytest.mark.parametrize("command", ["analyze", "approx", "trajectory"])
@@ -535,6 +549,18 @@ _CLOUD_TAMPERING = {
 }
 
 
+# key -> (regex, replacement) giving the key's line of the sweep CSV of the
+# 5x5 ``matrix_file`` a value that does not parse.
+_UNPARSABLE_HEADER_VALUES = {
+    "angles": (r"^# angles=4$", "# angles=x"),
+    "samples": (r"^# samples=0$", "# samples=x"),
+    "seed": (r"^# seed=$", "# seed=x"),
+    "epsilon": (r"^# epsilon=.*$", "# epsilon=abc"),
+    "pair": (r"^# pair=.*$", "# pair=[0,"),
+    "dim": (r"^# dim=5$", "# dim=["),
+}
+
+
 def _tampered_cloud(matrix_file, tmp_path, edit):
     path = tmp_path / "tampered.csv"
     assert run("approx", matrix_file, "--angles", "4", "--out", path) == 0
@@ -559,6 +585,15 @@ def test_tampered_cloud_exit_2_before_any_write(matrix_file, tmp_path, capsys, e
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not grid.exists()
+
+
+@pytest.mark.parametrize("key", list(_UNPARSABLE_HEADER_VALUES))
+def test_unparsable_header_value_exit_2_naming_its_line(matrix_file, tmp_path, capsys, key):
+    cloud = _tampered_cloud(matrix_file, tmp_path, _UNPARSABLE_HEADER_VALUES[key])
+    capsys.readouterr()
+    assert run("oracle", matrix_file, "--res", "20x20", "--check", cloud) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key!r}" in err
 
 
 def test_tampered_cloud_module_run_exit_2_without_traceback(matrix_file, tmp_path):
