@@ -2,8 +2,8 @@
 
 All floats are serialized with 17 significant digits so round-trips are
 lossless and outputs are byte-deterministic.  Table rows are formatted in
-bulk by :func:`format_rows` and read back with numpy.  Writes go through a
-temporary file followed by an atomic rename.
+bulk, one ``%`` per chunk of rows, and read back with numpy.  Writes go
+through a temporary file followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from io import BytesIO
 
 import numpy as np
 
-from .approx import PointCloud, _layout
+from .approx import TRAJECTORY, PointCloud, _layout
 from .errors import BadParams
 from .structures import is_member, pattern_from_dict, pattern_to_dict
 
@@ -136,8 +136,9 @@ _CLOUD_ROW = np.dtype([(k, float if k in ("re", "im") else int) for k in _CLOUD_
 
 def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
     """The cloud's header, column line and rows, with the provenance columns
-    of the layout rule of ``approx``; BadParams where the cloud breaks it."""
-    columns = _layout(cloud.kind, cloud.pattern, cloud.meta, len(cloud))[1]
+    of the layout rule of ``approx``; BadParams where the cloud breaks it.
+    Provenance text is formatted once per layout row, floats by whole rows."""
+    (starts, _), columns = _layout(cloud.kind, cloud.pattern, cloud.meta, len(cloud))
     extra = {"dim": cloud.pattern.dim, **pattern_to_dict(cloud.pattern), **cloud.meta}
     fixed = (_fmt(cloud.epsilon), cloud.pattern.kind, cloud.kind,
              *(cloud.meta.get(k, absent) for k, absent in _CLOUD_ABSENT.items()), matrix_sha)
@@ -146,7 +147,16 @@ def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
         *(f"# {k}={json.dumps(extra[k])}" for k in _CLOUD_KEYS if k in extra),
         _CLOUD_COLUMNS,
     ]
-    rows = format_rows("%.17g,%.17g,%d,%d,%d\n", cloud.points.real, cloud.points.imag, *columns)
+    m = len(cloud) // len(starts) if len(starts) else 1  # points per layout row
+    steps = cloud.kind == TRAJECTORY  # along a row only a trajectory's step varies
+    tails = [f",{k}\n" for k in columns[2][:m].tolist()] if steps else ["\n"] * m
+    heads = ["%.17g,%.17g" + "".join(f",{v}" for v in row)
+             for row in zip(*(c[::m].tolist() for c in columns[: 2 if steps else 3]))]
+    size = max(1, FORMAT_CHUNK_ROWS // m)  # rows per chunk
+    floats = np.ascontiguousarray(cloud.points, dtype=complex).view(float)
+    rows = "".join("".join(h + h.join(tails) for h in heads[r : r + size])
+                   % tuple(floats[2 * m * r : 2 * m * (r + size)].tolist())
+                   for r in range(0, len(heads), size))
     return "\n".join(lines) + "\n" + rows
 
 
@@ -180,13 +190,16 @@ def load_cloud(path: str, dim_hint: int = 0):
     if missing:
         raise BadParams(f"cloud header lacks the {', '.join(missing)} line")
 
-    def parse(key, convert):
+    def parse(key, convert, write=str):  # the line must be the writer's text
         try:
-            return convert(header[key])
+            value = convert(header[key])
         except ValueError as exc:  # json.JSONDecodeError included
             raise BadParams(f"cloud header line {key!r} does not parse ({exc})") from None
+        if write(value) != header[key]:
+            raise BadParams(f"cloud header line {key!r} is not written as {write(value)!r}")
+        return value
 
-    extra = {k: parse(k, json.loads) for k in _CLOUD_KEYS if k in header}
+    extra = {k: parse(k, json.loads, json.dumps) for k in _CLOUD_KEYS if k in header}
     structure = {k: v for k, v in extra.items() if k in ("real", "support", "n_half")}
     pattern = pattern_from_dict({"kind": header["pattern"], **structure}, extra["dim"])
     if dim_hint and pattern.dim != dim_hint:
@@ -201,7 +214,7 @@ def load_cloud(path: str, dim_hint: int = 0):
     points.real, points.imag = rows["re"], rows["im"]
     if not np.all(np.isfinite(points)):
         raise BadParams("cloud points must be finite")
-    cloud = PointCloud(points, parse("epsilon", float), pattern, header["kind"], meta)
+    cloud = PointCloud(points, parse("epsilon", float, _fmt), pattern, header["kind"], meta)
     if not all(np.array_equal(rows[name], getattr(cloud, name)) for name in _CLOUD_ROW.names[2:]):
         raise BadParams(f"cloud rows do not follow the {cloud.kind} layout of its header")
     return cloud, header

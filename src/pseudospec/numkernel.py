@@ -4,7 +4,8 @@ Everything downstream (condition numbers, sweeps, grid oracle) consumes the
 eigen-triples produced here.  One LAPACK eigensolve returns each eigenvalue
 with its right and left eigenvector, so no pairing of two spectra is needed;
 it runs on the matrix divided by a power of two, which is exact and keeps
-every norm finite.  Conventions:
+every norm finite; it is dgeev for real input, whose complex triples come
+in exact conjugate pairs.  Conventions:
 
 * eigenvalues sorted lexicographically by (Re, Im);
 * right/left eigenvectors stored as columns, unit 2-norm;
@@ -175,14 +176,16 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     """Compute the full eigensystem of A with matched left eigenvectors.
 
     One LAPACK eigensolve (xGEEV) returns each eigenvalue with its right and
-    left eigenvector.  It runs on B = A / 2^e of :func:`_scaled`, so no norm
-    can overflow.  All checks run on B; eigenvalues are scaled back by
-    2^e.  Raises DefectiveInput for the zero matrix and when the minimal
-    eigenvalue gap falls below ``GAP_TOL_FACTOR * ||A||_F``, and
-    NonConvergence when a right or left residual exceeds
-    ``TOL_EIG * ||A||_F``.
+    left eigenvector: dgeev for real input, whose complex triples come in
+    exact conjugate pairs, else zgeev.  It runs on B = A / 2^e of
+    :func:`_scaled`, so no norm can overflow.  All checks run on B;
+    eigenvalues are scaled back by 2^e.  Raises DefectiveInput for the zero
+    matrix and when the minimal eigenvalue gap falls below
+    ``GAP_TOL_FACTOR * ||A||_F``, and NonConvergence when a right or left
+    residual exceeds ``TOL_EIG * ||A||_F``.
     """
     _, B, e = _scaled(A)
+    B = B if B.imag.any() else B.real
     norm_b = np.linalg.norm(B)
     if norm_b == 0.0:
         raise DefectiveInput("the zero matrix has one eigenvalue of full multiplicity")

@@ -704,13 +704,13 @@ def test_empty_level_set_still_prints_the_inclusion_verdict(matrix_file, tmp_pat
 
 
 def test_failed_inclusion_check_exit_3(matrix_file, tmp_path, capsys):
-    # The sweep's own epsilon, lowered tenfold in the header, is too small
-    # for most of its points.
+    # The sweep's own epsilon, lowered tenfold in the header (written with
+    # 17 digits, as the writer does), is too small for most of its points.
     cloud = tmp_path / "c.csv"
     assert run("approx", matrix_file, "--angles", "20", "--out", cloud) == 0
     lines = cloud.read_text().splitlines(keepends=True)
     (at,) = [k for k, line in enumerate(lines) if line.startswith("# epsilon=")]
-    lines[at] = f"# epsilon={float(lines[at][len('# epsilon='):]) / 10!r}\n"
+    lines[at] = f"# epsilon={float(lines[at][len('# epsilon='):]) / 10:.17g}\n"
     cloud.write_text("".join(lines))
     capsys.readouterr()
     assert run("oracle", matrix_file, "--check", cloud) == 3
@@ -751,3 +751,70 @@ def test_cli_import_and_parser_start_no_thread():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["1", "False", "0"]
+
+
+# id -> (header key, file, regex, replacement): a value that parses to the
+# one written, in text the writer does not write.  The files are the sweep
+# and baseline CSVs of pentadiag_toeplitz n = 5 seed 2 (40 angles, 2 samples).
+_UNWRITTEN_HEADER_VALUES = {
+    "angles-underscore": ("angles", "sweep", r"^# angles=40$", "# angles=4_0"),
+    "angles-padded-sign": ("angles", "sweep", r"^# angles=40$", "# angles= +40 "),
+    "epsilon-padded": ("epsilon", "sweep", r"^# epsilon=(.*)$", r"# epsilon= \1 "),
+    "epsilon-other-digits": ("epsilon", "sweep", r"^# epsilon=(.*)$",
+                             lambda m: f"# epsilon={float(m[1]):.20e}"),
+    "seed-underscore": ("seed", "baseline", r"^# seed=0$", "# seed=0_0"),
+    "samples-plus": ("samples", "baseline", r"^# samples=2$", "# samples=+2"),
+    "dim-padded": ("dim", "sweep", r"^# dim=5$", "# dim= 5"),
+    "pair-unspaced": ("pair", "sweep", r"^# pair=\[(\d+), (\d+)\]$", r"# pair=[\1,\2]"),
+    "real-padded": ("real", "sweep", r"^# real=false$", "# real=false "),
+    "support-unspaced": ("support", "baseline", r"^# support=(.*)$",
+                         lambda m: "# support=" + m[1].replace(" ", "")),
+}
+
+
+@pytest.mark.parametrize("key,which,pattern,replacement", list(_UNWRITTEN_HEADER_VALUES.values()),
+                         ids=list(_UNWRITTEN_HEADER_VALUES))
+def test_header_value_not_in_the_writers_text_exit_2_naming_its_line(
+    tmp_path, capsys, key, which, pattern, replacement
+):
+    matrix, cloud = tmp_path / "m.json", tmp_path / "c.csv"
+    assert run("generate", "--family", "pentadiag_toeplitz", "--n", "5", "--seed", "2",
+               "--out", matrix) == 0
+    assert run("approx", matrix, "--angles", "40", "--baseline", "2", "--out", cloud) == 0
+    path = cloud if which == "sweep" else Path(f"{cloud}.baseline.csv")
+    assert run("oracle", matrix, "--check", path) == 0
+    text = path.read_text()
+    edited = re.sub(pattern, replacement, text, count=1, flags=re.MULTILINE)
+    assert edited != text
+    path.write_text(edited)
+    capsys.readouterr()
+    assert run("oracle", matrix, "--check", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cloud header line {key!r} is not written as ")
+
+
+def _failing_eig(B, **kw):
+    raise np.linalg.LinAlgError("eig algorithm did not converge")
+
+
+_HAMILTONIAN_8 = generate("hamiltonian_random", 8, 1)[0].real
+
+
+@pytest.mark.parametrize("A,patch,error", [
+    (np.zeros((3, 3)), None, errors.DefectiveInput),
+    (np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]), None, errors.DefectiveInput),
+    (_HAMILTONIAN_8, (numkernel.scipy.linalg, "eig", _failing_eig), errors.NonConvergence),
+    (_HAMILTONIAN_8, (numkernel, "TOL_EIG", 0.0), errors.NonConvergence),
+    (_HAMILTONIAN_8, (pseudospec.sensitivity, "OVERLAP_TOL", 1.0), errors.VanishingOverlap),
+], ids=["zero", "jordan", "linalg-error", "residual", "vanishing-overlap"])
+def test_real_input_failures_stay_typed(tmp_path, capsys, monkeypatch, A, patch, error):
+    # Real matrices take dgeev; each failure keeps its class and exit 3.
+    if patch:
+        monkeypatch.setattr(*patch)
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), A)
+    with pytest.raises(error):
+        pseudospec.sensitivity.analyze(numkernel.eig_pairs(A), full(len(A)))
+    capsys.readouterr()
+    assert run("analyze", path) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: ")

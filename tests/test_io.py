@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pseudospec import GridField, PointCloud, approx, full, io, svg, toeplitz
 from pseudospec.approx import RANDOM_BASELINE, TRAJECTORY, WILKINSON_SWEEP
+from pseudospec.io import FORMAT_CHUNK_ROWS
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
@@ -42,6 +43,14 @@ def _body(text, column_line):
     return text.split(column_line + "\n", 1)[1]
 
 
+def _per_point_rows(cloud):
+    """The cloud's rows by the per-point rule, one ``%`` per point."""
+    return "".join(
+        "%.17g,%.17g,%d,%d,%d\n" % (z.real, z.imag, e, k, s)
+        for z, e, k, s in zip(cloud.points, cloud.source_eigen, cloud.angle_index, cloud.sample_index)
+    )
+
+
 @st.composite
 def laid_out_clouds(draw):
     """Clouds of every kind, with any points in the layout of their meta,
@@ -61,18 +70,16 @@ def laid_out_clouds(draw):
     return PointCloud(_complex(pairs), draw(floats), pattern, kind, meta)
 
 
-@settings(max_examples=60, deadline=None)
-@given(cloud=laid_out_clouds())
-def test_cloud_rows_match_per_row_format_and_round_trip(tmp_path_factory, cloud):
-    # The provenance the layout gives is written row by row ...
-    text = io.cloud_to_csv(cloud, "sha")
-    expected = "".join(
-        f"{_fmt(z.real)},{_fmt(z.imag)},{int(e)},{int(k)},{int(s)}\n"
-        for z, e, k, s in zip(
-            cloud.points, cloud.source_eigen, cloud.angle_index, cloud.sample_index
-        )
-    )
-    assert _body(text, "re,im,source_eigen,angle_index,sample_index") == expected
+@settings(max_examples=80, deadline=None)
+@given(cloud=laid_out_clouds(), chunk=st.sampled_from([1, 2, 3, 5, 7, FORMAT_CHUNK_ROWS]))
+def test_cloud_rows_match_per_row_format_and_round_trip(tmp_path_factory, cloud, chunk):
+    # The provenance the layout gives is written by the per-point rule,
+    # whatever the chunk size: chunks shorter than a row, and chunk edges
+    # that a point-wise split would put inside a row ...
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "FORMAT_CHUNK_ROWS", chunk)
+        text = io.cloud_to_csv(cloud, "sha")
+    assert _body(text, "re,im,source_eigen,angle_index,sample_index") == _per_point_rows(cloud)
 
     # ... and read back without loss.
     path = tmp_path_factory.mktemp("cloud") / "c.csv"
@@ -175,3 +182,20 @@ def test_rows_are_formatted_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(io, "FORMAT_CHUNK_ROWS", 3)
     assert io.format_rows("%.17g,%d\n", col, np.arange(10)) == one
     assert one == "".join(f"{_fmt(x)},{i}\n" for i, x in enumerate(col))
+
+
+@pytest.mark.parametrize("kind,pattern,meta,row", [
+    (WILKINSON_SWEEP, full(5), {"pair": (3, 1), "angles": 500}, 5),
+    (RANDOM_BASELINE, toeplitz(5, {-1, 0}), {"samples": 3, "angles": 300, "seed": 9}, 5),
+    (TRAJECTORY, toeplitz(5, {0, 2}), {"steps": 419}, 419),
+])
+def test_cloud_longer_than_a_chunk(kind, pattern, meta, row):
+    # More points than FORMAT_CHUNK_ROWS, in rows of a length that does not
+    # divide it: a split every FORMAT_CHUNK_ROWS points would cut a row.
+    count = len(approx._layout(kind, pattern, meta)[1][0])
+    assert count > FORMAT_CHUNK_ROWS and FORMAT_CHUNK_ROWS % row
+    rng = np.random.default_rng(count)
+    points = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    cloud = PointCloud(points, 0.25, pattern, kind, meta)
+    text = io.cloud_to_csv(cloud, "sha")
+    assert _body(text, "re,im,source_eigen,angle_index,sample_index") == _per_point_rows(cloud)

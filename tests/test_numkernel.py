@@ -190,6 +190,106 @@ class TestEigPairs:
                 )
 
 
+def _real_cases():
+    """Real matrices with complex and real eigenvalues: seeded Gaussian ones
+    and the two real families, all with moderate kappa."""
+    rng = np.random.default_rng(19)
+    cases = [(f"gaussian-{n}-{k}", rng.standard_normal((n, n)), full(n))
+             for n in (2, 3, 5, 8, 12) for k in range(3)]
+    for family, n, seed in [("hamiltonian_random", 4, 0), ("hamiltonian_random", 12, 1),
+                            ("hamiltonian_random", 40, 2), ("tridiag_toeplitz", 5, 2),
+                            ("tridiag_toeplitz", 8, 4)]:
+        A, S, _ = generate(family, n, seed)
+        cases.append((f"{family}-{n}-{seed}", A.real, S))
+    return cases
+
+
+REAL_CASES = _real_cases()
+
+
+def _zgeev_pairs(A):
+    """eig_pairs with its eigensolve run by zgeev on the complex copy of B."""
+    import scipy.linalg
+
+    eig = scipy.linalg.eig
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkernel.scipy.linalg, "eig", lambda B, **kw: eig(B.astype(complex), **kw))
+        return eig_pairs(A)
+
+
+def _phase_aligned_distance(X, Z):
+    """||x e^{i phi} - z|| per column, phi the phase that minimizes it."""
+    d = np.einsum("ij,ij->j", X.conj(), Z)
+    return np.linalg.norm(X * (d / np.abs(d)) - Z, axis=0)
+
+
+class TestRealInput:
+    """Real A takes dgeev: exact conjugate pairs, and the triples of zgeev
+    up to rounding."""
+
+    @pytest.mark.parametrize("name,A,S", REAL_CASES, ids=[c[0] for c in REAL_CASES])
+    def test_eigenvalues_and_triples_come_in_exact_conjugate_pairs(self, name, A, S):
+        sys = eig_pairs(A)
+        w = sys.eigenvalues
+        assert np.array_equal(np.sort_complex(w.conj()), np.sort_complex(w))
+        for i in np.flatnonzero(w.imag):
+            (j,) = np.flatnonzero(w == w[i].conj())
+            assert np.array_equal(sys.rights[:, j], sys.rights[:, i].conj())
+            assert np.array_equal(sys.lefts[:, j], sys.lefts[:, i].conj())
+        # the real eigenvalues carry real triples
+        real = w.imag == 0
+        assert not np.any(sys.rights[:, real].imag) and not np.any(sys.lefts[:, real].imag)
+
+    @pytest.mark.parametrize("name,A,S", REAL_CASES, ids=[c[0] for c in REAL_CASES])
+    def test_triples_and_kappas_agree_with_zgeev(self, name, A, S):
+        # Each solve is backward stable: its triples are exact for A + E with
+        # ||E||_F <= p(n) u ||A||_F, p(n) a modest multiple of n (4n here).
+        # To first order, for the two solves together:
+        # * |d lambda_i| <= 2 kappa_i ||E||, Wilkinson's bound;
+        # * ||d x_i||, ||d y_i|| <= 2 ||(A - lambda_i I)^#|| ||E|| <= delta_i
+        #   = 2 n kappa_max ||E|| / gap_i, since with unit columns
+        #   cond(V) <= n kappa_max for A = V diag(lambda) V^{-1} (compared
+        #   up to a unit factor, as a pivot near a tie may fix another phase);
+        # * kappa_i = 1 / |y_i^H x_i|, so |d kappa_i| <= kappa_i^2 * 2 delta_i;
+        # * kappa^S_i = ||P(y_i x_i^H)||_F kappa_i with P an orthogonal
+        #   projection (norm 1), so |d kappa^S_i| <= (kappa_i + kappa_i^2) 2 delta_i.
+        real, cplx = eig_pairs(A), _zgeev_pairs(np.asarray(A, dtype=complex))
+        n, norm_e = len(A), 4 * len(A) * U * np.linalg.norm(A)
+        w = real.eigenvalues
+        j = np.argmin(np.abs(w[:, None] - cplx.eigenvalues[None, :]), axis=1)
+        assert sorted(j) == list(range(n))
+        kappa = kappas(real, full(n))
+        gap = np.abs(w[:, None] - w[None, :])
+        np.fill_diagonal(gap, np.inf)
+        delta = 2 * n * kappa.max() * norm_e / gap.min(axis=1)
+        assert np.all(np.abs(w - cplx.eigenvalues[j]) <= 2 * kappa * norm_e)
+        assert np.all(_phase_aligned_distance(real.rights, cplx.rights[:, j]) <= delta)
+        assert np.all(_phase_aligned_distance(real.lefts, cplx.lefts[:, j]) <= delta)
+        assert np.all(np.abs(kappa - kappas(cplx, full(n))[j]) <= kappa**2 * 2 * delta)
+        assert np.all(
+            np.abs(kappas(real, S) - kappas(cplx, S)[j]) <= (kappa + kappa**2) * 2 * delta
+        )
+
+    @pytest.mark.parametrize("name,A,S", REAL_CASES[::4], ids=[c[0] for c in REAL_CASES[::4]])
+    def test_conjugate_of_real_input_is_the_same_input(self, name, A, S):
+        base = eig_pairs(A)
+        for B in (A.conj(), A.astype(complex), A.astype(complex).conj()):
+            other = eig_pairs(B)
+            for field in ("eigenvalues", "rights", "lefts"):
+                assert np.array_equal(getattr(other, field), getattr(base, field))
+
+    @pytest.mark.parametrize("imag,dtype", [(0.0, float), (-0.0, float), (1e-300, complex)])
+    def test_lapack_sees_real_input_as_real(self, monkeypatch, imag, dtype):
+        import scipy.linalg
+
+        seen, eig = [], scipy.linalg.eig
+        monkeypatch.setattr(numkernel.scipy.linalg, "eig",
+                            lambda B, **kw: seen.append(B.dtype) or eig(B, **kw))
+        A = np.array([[1.0, 2.0], [-3.0, 0.5]]) + imag * 1j * np.eye(2)
+        eig_pairs(A)
+        assert seen == [np.dtype(dtype)]
+
+
 class TestTridiagReference:
     def test_symmetric_cosine_spectrum(self):
         sys = tridiag_toeplitz_reference(4, 1, 0, 1)
