@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+import scipy.linalg
 
 from . import numkernel
 from .errors import BadParams, DegenerateSpectrum
@@ -144,8 +145,10 @@ def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.
     """Spectra of A + scales[p] * directions[terms[p]] for every row p.
 
     Stacked eigensolves over the rows, in slices run by
-    ``numkernel._stacked``; each spectrum is sorted by (Re, Im), and the
-    points are returned flattened in row order.
+    ``numkernel._stacked``; each spectrum is sorted by the order rule of
+    ``eig_pairs``, on the scale ||A||_F + max |scales| * max ||D||_F that
+    bounds every row's Frobenius norm (nrm2, which neither overflows nor
+    underflows), and the points are returned flattened in row order.
     """
     A = np.asarray(A, dtype=complex)
     D = np.asarray(directions, dtype=complex)
@@ -160,7 +163,8 @@ def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.
         spectra[rows] = np.linalg.eigvals(stack)
 
     numkernel._stacked(work, len(terms), A.shape[0])
-    order = np.lexsort((spectra.imag, spectra.real))
+    norm_a, *norms_d = (scipy.linalg.norm(M.ravel()) for M in (A, *D))
+    order = numkernel._spectral_order(spectra, norm_a + np.abs(scales).max() * max(norms_d))
     return np.take_along_axis(spectra, order, axis=1).ravel()
 
 

@@ -83,10 +83,11 @@ def cmd_analyze(args) -> int:
         f"pair = {report.pair_structured}"
     )
 
+    w = sys_.eigenvalues
     doc = {
-        "eigenvalues": [[v.real, v.imag] for v in sys_.eigenvalues],
-        "kappa": list(report.kappas),
-        "kappa_structured": list(report.kappas_structured),
+        "eigenvalues": np.column_stack((w.real, w.imag)),
+        "kappa": report.kappas,
+        "kappa_structured": report.kappas_structured,
         "epsilon": report.epsilon,
         "epsilon_structured": report.epsilon_structured,
         "pair": list(report.pair),
@@ -94,9 +95,9 @@ def cmd_analyze(args) -> int:
         "pattern": structures.pattern_to_dict(pattern),
     }
     if args.json_out:
-        io.atomic_write(args.json_out, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        io.atomic_write(args.json_out, io._json_text(doc))
     else:
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, default=np.ndarray.tolist))
     return 0
 
 

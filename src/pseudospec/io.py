@@ -58,24 +58,33 @@ def atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _json_text(doc: dict, number: str = "%r") -> str:
+    """The text of ``json.dumps(doc, indent=1, sort_keys=True)`` and a
+    newline, for a doc whose arrays are finite floats, 1-D or 2-D (a list of
+    rows).  json writes the doc with null in place of each array, and each
+    null is replaced by its array's list, formatted in bulk with every float
+    as the %-template ``number`` writes it (``%r`` writes json's text)."""
+    arrays = {k: v for k, v in doc.items() if isinstance(v, np.ndarray)}
+    text = json.dumps({**doc, **dict.fromkeys(arrays)}, indent=1, sort_keys=True)
+    for key, value in arrays.items():
+        columns = value.T if value.ndim == 2 else [value]
+        item = number if value.ndim == 1 else "[\n   " + ",\n   ".join([number] * len(columns)) + "\n  ]"
+        rows = format_rows(",\n  " + item, *columns)
+        head = f"\n {json.dumps(key)}: "  # only a top-level key follows "\n "
+        text = text.replace(head + "null", head + (f"[\n{rows[2:]}\n ]" if rows else "[]"), 1)
+    return text + "\n"
+
+
 def matrix_to_json(A: np.ndarray, pattern=None, generator: dict | None = None) -> str:
     """The text of ``json.dumps(doc, indent=1, sort_keys=True)`` for a doc
-    whose ``entries`` are ``[re, im]`` pairs of 17-digit strings.
-
-    ``entries`` sorts first among the keys, so its block is formatted in
-    bulk and put in front of the dump of the other keys.
-    """
+    whose ``entries`` are ``[re, im]`` pairs of 17-digit strings."""
     A = np.asarray(A, dtype=complex)
-    doc = {"n": A.shape[0]}
+    doc = {"n": A.shape[0], "entries": np.column_stack((A.real.ravel(), A.imag.ravel()))}
     if pattern is not None:
         doc["structure"] = pattern_to_dict(pattern)
     if generator is not None:
         doc["generator"] = generator
-    rest = json.dumps(doc, indent=1, sort_keys=True)
-    flat = A.ravel()
-    rows = format_rows(',\n  [\n   "%.17g",\n   "%.17g"\n  ]', flat.real, flat.imag)
-    entries = f"[\n{rows[2:]}\n ]" if rows else "[]"
-    return f'{{\n "entries": {entries},\n{rest[2:]}\n'
+    return _json_text(doc, '"%.17g"')
 
 
 def save_matrix(path: str, A, pattern=None, generator=None) -> None:

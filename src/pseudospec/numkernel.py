@@ -7,7 +7,7 @@ it runs on the matrix divided by a power of two, which is exact and keeps
 every norm finite; it is dgeev for real input, whose complex triples come
 in exact conjugate pairs.  Conventions:
 
-* eigenvalues sorted lexicographically by (Re, Im);
+* eigenvalues sorted by (Re, Im), Re in units of 1e-10 ||A||_F;
 * right/left eigenvectors stored as columns, unit 2-norm;
 * left eigenvector phases fixed so that y_i^H x_i is real and positive.
 """
@@ -34,8 +34,7 @@ STACK_ENTRIES = 2**15
 # than this many values.
 _GIL_FREE_VALUES = 500
 
-# Usable CPUs.  A stack that splits runs on the calling thread and up to
-# _WORKERS - 1 threads of a pool sized to the CPUs.
+# Usable CPUs, and the thread count of the pool that runs a split stack.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -56,46 +55,22 @@ def _stacked(work, count: int, n: int) -> None:
     Each slice holds at most ``STACK_ENTRIES // n**2`` matrices of size
     n x n, about a quarter of one worker's share, and more than
     ``_GIL_FREE_VALUES / n`` of them where the budget allows: smaller slices
-    would hold the GIL and run one after the other.  The calling thread and
-    up to ``_WORKERS - 1`` pool threads take the slices in order, each the
-    next one as it becomes free, so a late or slow thread leaves its share
-    to the others; with one slice or one usable CPU the calling thread runs
-    them all.  ``work`` fills only its own rows of a preallocated output and
-    calls nothing but numpy.  When a slice fails, no thread takes another,
-    and the first error in slice order is raised, a LinAlgError as
-    NonConvergence.
+    would hold the GIL and run one after the other.  One slice, or every
+    slice with one usable CPU, runs on the calling thread; else the pool's
+    ``map`` runs them, and cancels the queued ones when an error, or an
+    interrupt of the wait, leaves the loop.  ``work`` fills only its own
+    rows of a preallocated output and calls nothing but numpy.  The first
+    error in slice order is raised, a LinAlgError as NonConvergence.
     """
     budget = max(1, STACK_ENTRIES // (n * n))
     size = min(budget, max(_GIL_FREE_VALUES // n + 1, -(-count // (4 * _WORKERS))))
-    starts = iter(range(0, count, size))  # next() is atomic under the GIL
-    errors = {}
-
-    def drain():
-        for start in starts:
-            try:
-                work(slice(start, min(start + size, count)))
-            except BaseException as exc:
-                errors[start] = exc
-                for _ in starts:  # cancel the slices no thread has taken
-                    pass
-
-    helpers = []
-    threads = min(_WORKERS, -(-count // size))
-    if threads > 1:
-        pool = _pool(os.getpid())
-        helpers = [pool.submit(drain) for _ in range(threads - 1)]
+    slices = [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    run = _pool(os.getpid()).map if len(slices) > 1 and _WORKERS > 1 else map
     try:
-        drain()
-        for helper in helpers:
-            helper.result()
-    finally:
-        for _ in starts:  # interrupted while waiting: cancel the rest
+        for _ in run(work, slices):
             pass
-    if errors:
-        exc = errors[min(errors)]
-        if isinstance(exc, np.linalg.LinAlgError):
-            raise NonConvergence(str(exc)) from exc
-        raise exc
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -157,6 +132,13 @@ def _min_pairwise_gap(w: np.ndarray) -> float:
     return float(diff.min())
 
 
+def _spectral_order(w: np.ndarray, scale) -> np.ndarray:
+    """The sort order of w along its last axis: by Re in units of
+    ``1e-10 * scale``, so roundoff cannot flip eigenvalues whose real parts
+    tie (a conjugate pair, say), then by Im, then by Re."""
+    return np.lexsort((w.real, w.imag, np.round(w.real / (1e-10 * scale))))
+
+
 def _normalized_triples(rights: np.ndarray, lefts: np.ndarray):
     """Unit eigenvectors with fixed phases; returns ``(rights, lefts)``.
 
@@ -203,9 +185,7 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
             "too ill-conditioned to separate in double precision"
         )
 
-    # quantize the real-part key so roundoff cannot flip the order of
-    # eigenvalues with equal real parts (e.g. conjugate pairs)
-    order = np.lexsort((w.real, w.imag, np.round(w.real / (1e-10 * norm_b))))
+    order = _spectral_order(w, norm_b)
     w = w[order]
     rights, lefts = _normalized_triples(vr[:, order], vl[:, order])
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pseudospec import (
     PointCloud,
@@ -15,6 +16,7 @@ from pseudospec import (
     eig_pairs,
     first_order_trajectories,
     full,
+    kappas,
     normalized_projection,
     random_cloud,
     random_member,
@@ -257,9 +259,14 @@ class TestLowerBounds:
             abscissa_lower_bound(A, -1.0, full(2))
 
 
-def _sorted_spectrum(B):
+def _fro(M):
+    return scipy.linalg.norm(np.ravel(M))
+
+
+def _sorted_spectrum(B, scale):
+    """eig(B) by Re in units of 1e-10 * scale, then Im, then Re."""
     w = np.linalg.eigvals(B)
-    return w[np.lexsort((w.imag, w.real))]
+    return w[np.lexsort((w.real, w.imag, np.round(w.real / (1e-10 * scale))))]
 
 
 def _loop_sweep(A, sys, cfg):
@@ -272,10 +279,11 @@ def _loop_sweep(A, sys, cfg):
     n, K = sys.dim, cfg.angles
     thetas = 2.0 * np.pi * np.arange(K) / K
     points, src, ang = [], [], []
-    for i in pair:
-        W = wilkinson(sys, i, cfg.pattern)
+    directions = [wilkinson(sys, i, cfg.pattern) for i in pair]
+    scale = _fro(A) + np.abs(eps * np.exp(1j * thetas)).max() * max(map(_fro, directions))
+    for i, W in zip(pair, directions):
         for k, theta in enumerate(thetas):
-            points.append(_sorted_spectrum(A + eps * np.exp(1j * theta) * W))
+            points.append(_sorted_spectrum(A + eps * np.exp(1j * theta) * W, scale))
             src.append(np.full(n, i))
             ang.append(np.full(n, k))
     return np.concatenate(points), np.concatenate(src), np.concatenate(ang)
@@ -287,14 +295,15 @@ def _loop_random(A, cfg, samples, seed):
     n, K = A.shape[0], cfg.angles
     thetas = 2.0 * np.pi * np.arange(K) / K
     rng = np.random.default_rng(seed)
+    if cfg.pattern.kind == "full":
+        directions = [random_rank_one(n, rng) for _ in range(samples)]
+    else:
+        directions = [random_member(cfg.pattern, rng) for _ in range(samples)]
+    scale = _fro(A) + np.abs(cfg.epsilon * np.exp(1j * thetas)).max() * max(map(_fro, directions))
     points, ang, smp = [], [], []
-    for s in range(samples):
-        if cfg.pattern.kind == "full":
-            E = random_rank_one(n, rng)
-        else:
-            E = random_member(cfg.pattern, rng)
+    for s, E in enumerate(directions):
         for k, theta in enumerate(thetas):
-            points.append(_sorted_spectrum(A + cfg.epsilon * np.exp(1j * theta) * E))
+            points.append(_sorted_spectrum(A + cfg.epsilon * np.exp(1j * theta) * E, scale))
             ang.append(np.full(n, k))
             smp.append(np.full(n, s))
     return np.concatenate(points), np.concatenate(ang), np.concatenate(smp)
@@ -354,7 +363,8 @@ class TestBatchedEngine:
         scales = 1e-3 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
         monkeypatch.setattr(numkernel, "STACK_ENTRIES", 2 * 25)
         points = approx._perturbed_spectra(A, D, terms, scales)
-        expected = [_sorted_spectrum(A + c * D[t]) for t, c in zip(terms, scales)]
+        scale = _fro(A) + np.abs(scales).max() * max(map(_fro, D))
+        expected = [_sorted_spectrum(A + c * D[t], scale) for t, c in zip(terms, scales)]
         assert np.array_equal(points, np.concatenate(expected))
 
     def test_slices_stay_within_budget(self, engine_workers, monkeypatch):
@@ -390,6 +400,23 @@ class TestBatchedEngine:
         monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
         with pytest.raises(NonConvergence, match="did not converge"):
             sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=20))
+
+    @pytest.mark.parametrize("n,seed", [(4, 7), (12, 2)])
+    def test_spectra_keep_their_rows_when_epsilon_moves_by_an_ulp(self, n, seed):
+        # Real A and real Hamiltonian directions: the rows at theta = 0 are
+        # real matrices, whose conjugate pairs tie in Re.  Sorted by exact
+        # (Re, Im), a pair swapped rows whenever rounding moved.
+        A, pattern, _ = generate("hamiltonian_random", n, seed=seed)
+        sys = eig_pairs(A)
+        eps = resolve_pair_and_epsilon(sys, SweepConfig(pattern=pattern))[1]
+        u = np.finfo(float).eps / 2
+        tol = 10 * kappas(sys, full(n)).max() * n * u * np.linalg.norm(A)
+        for make in (
+            lambda e: sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, epsilon=e, angles=8)),
+            lambda e: random_cloud(A, SweepConfig(pattern=pattern, epsilon=e, angles=8), 5, 0),
+        ):
+            near, far = (make(e).points for e in (eps, np.nextafter(eps, np.inf)))
+            assert np.abs(near - far).max() <= tol
 
     def test_trajectories_match_per_eigenvalue_loop(self):
         A, pattern, _ = generate("hamiltonian_random", 6, seed=4)

@@ -185,6 +185,28 @@ class TestAnalyze:
     def test_missing_file_exit_code(self, tmp_path):
         assert run("analyze", tmp_path / "absent.json") == 2
 
+    @pytest.mark.parametrize("family", families.FAMILIES)
+    @pytest.mark.parametrize("n", [4, 12, 20])
+    def test_json_report_is_the_text_of_json_dumps(self, tmp_path, family, n):
+        path, out = tmp_path / "m.json", tmp_path / "report.json"
+        assert run("generate", "--family", family, "--n", n, "--seed", 1, "--out", path) == 0
+        assert run("analyze", path, "--json-out", out) == 0
+        A, declared = io.load_matrix(str(path))
+        pattern = _resolve_pattern("auto", declared, A)
+        sys_ = numkernel.eig_pairs(A)
+        report = pseudospec.analyze(sys_, pattern)
+        doc = {
+            "eigenvalues": [[v.real, v.imag] for v in sys_.eigenvalues],
+            "kappa": list(report.kappas),
+            "kappa_structured": list(report.kappas_structured),
+            "epsilon": report.epsilon,
+            "epsilon_structured": report.epsilon_structured,
+            "pair": list(report.pair),
+            "pair_structured": list(report.pair_structured),
+            "pattern": pseudospec.structures.pattern_to_dict(pattern),
+        }
+        assert out.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
 
 class TestApprox:
     def test_cloud_written_with_expected_count(self, matrix_file, tmp_path):

@@ -117,6 +117,22 @@ def test_matrix_json_matches_json_dumps_and_round_trips(tmp_path_factory, n, dat
     assert np.array_equal(_bits(B), _bits(A))
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 4), data=st.data())
+def test_json_text_matches_json_dumps(m, data):
+    # The report of analyze --json-out: float arrays in bulk among json values.
+    doc = {
+        "eigenvalues": np.array(data.draw(st.lists(st.tuples(floats, floats), min_size=m, max_size=m)),
+                                dtype=float).reshape(m, 2),
+        "kappa": np.array(data.draw(st.lists(floats, min_size=m, max_size=m)), dtype=float),
+        "epsilon": data.draw(floats),
+        "pair": [0, 1],
+        "pattern": {"kind": "toeplitz", "real": True, "support": [-1, 0]},
+    }
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    assert io._json_text(doc) == json.dumps(plain, indent=1, sort_keys=True) + "\n"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.tuples(st.integers(2, 5), st.integers(2, 5)),

@@ -488,9 +488,11 @@ class TestSliceRunner:
         sigma_min_batch(A, zs)
         sizes = [size for size, _ in seen]
         assert sum(sizes) == zs.size and max(sizes) == budget
-        threads = {name for _, name in seen} - {threading.current_thread().name}
-        assert all(name.startswith("pseudospec") for name in threads)
-        assert len(threads) <= engine_workers - 1
+        threads = {name for _, name in seen}
+        if engine_workers > 1:  # the calling thread runs no slice of a split stack
+            assert threading.current_thread().name not in threads
+            assert all(name.startswith("pseudospec") for name in threads)
+        assert len(threads) <= engine_workers
 
     @pytest.mark.parametrize("count,n,expected", [
         # a quarter of each worker's share, within the budget
@@ -516,6 +518,13 @@ class TestSliceRunner:
         seen = []
         numkernel._stacked(lambda rows: seen.append(threading.current_thread()), 7, 5)
         assert seen == [threading.current_thread()] * 4
+        assert numkernel._pool.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("engine_workers", [2, 3], indirect=True)
+    def test_one_slice_runs_on_the_calling_thread(self, engine_workers):
+        seen = []
+        numkernel._stacked(lambda rows: seen.append((rows, threading.current_thread())), 5, 5)
+        assert seen == [(slice(0, 5), threading.current_thread())]
         assert numkernel._pool.cache_info().currsize == 0
 
     @pytest.mark.parametrize("engine_workers", [2], indirect=True)
