@@ -57,6 +57,8 @@ def _flag_values(flag: str, text: str, sep: str, convert, form: str) -> tuple:
 
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise BadParams("--seed must be nonnegative")
     A, pattern, params = families.generate(args.family, args.n, args.seed)
     generator = {"family": args.family, "seed": args.seed, "n": args.n, "params": params}
     io.save_matrix(args.out, A, pattern, generator)
@@ -102,8 +104,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    if args.baseline < 0:
-        raise BadParams("--baseline must be nonnegative")
+    for flag in ("baseline", "seed"):
+        if getattr(args, flag) < 0:
+            raise BadParams(f"--{flag} must be nonnegative")
     pair = _flag_values("--pair", args.pair, ",", int, "i,j") if args.pair else None
     A, declared = io.load_matrix(args.matrix)
     pattern = _resolve_pattern(args.structure, declared, A)
@@ -113,6 +116,8 @@ def cmd_approx(args) -> int:
     )
     sys_ = eig_pairs(A)
     cloud = approx_mod.sweep_wilkinson(A, sys_, cfg)
+    if args.svg:  # checked before any write, so a rejected plot window leaves no file
+        window = oracle._window(oracle.default_window(sys_, cloud.epsilon), "plot window")
     sha = io.matrix_hash(args.matrix)
     io.save_cloud(args.out, cloud, sha)
     print(
@@ -129,7 +134,6 @@ def cmd_approx(args) -> int:
         print(f"wrote {base_path}: {len(baseline)} points")
 
     if args.svg:
-        window = oracle.default_window(sys_, cloud.epsilon)
         clouds = [(c.kind, c.points) for c in (cloud, baseline) if c is not None]
         io.atomic_write(args.svg, svg.svg_render(clouds, sys_.eigenvalues, window))
         print(f"wrote {args.svg}")
@@ -144,9 +148,8 @@ def cmd_oracle(args) -> int:
         raise BadParams("--slack must be finite and nonnegative")
     bounds = None
     if args.bounds:
-        bounds = _flag_values("--bounds", args.bounds, ",", float, "re_min,re_max,im_min,im_max")
-        if not (np.isfinite(bounds).all() and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
-            raise BadParams("--bounds must be finite, with re_max > re_min and im_max > im_min")
+        form = "re_min,re_max,im_min,im_max"
+        bounds = oracle._window(_flag_values("--bounds", args.bounds, ",", float, form), "--bounds")
     resolution = _flag_values("--res", args.res, "x", int, "NxM")
     if min(resolution) < 2:
         raise BadParams("--res must be at least 2x2")

@@ -1,15 +1,15 @@
 """File formats: matrix JSON, cloud CSV, grid CSV.
 
 All floats are serialized with 17 significant digits so round-trips are
-lossless and outputs are byte-deterministic.  Table rows are formatted in
-bulk, one ``%`` per chunk of rows, and read back with numpy.  Writes go
+lossless and outputs are byte-deterministic.  Every text table (cloud and
+grid rows, JSON arrays and the marks of an SVG plot) is filled in bulk by
+one rule, :func:`format_rows`; tables are read back with numpy.  Writes go
 through a temporary file followed by an atomic rename.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import tempfile
@@ -22,27 +22,29 @@ from .errors import BadParams
 from .structures import is_member, pattern_from_dict, pattern_to_dict
 
 
-# Rows per % operation in format_rows: bounds the Python floats alive at once.
-FORMAT_CHUNK_ROWS = 4096
+# Floats per % operation in format_rows: bounds the Python floats alive at once.
+FORMAT_CHUNK_VALUES = 8192
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def format_rows(fmt: str, *columns) -> str:
-    """Parallel columns formatted row by row with the %-template ``fmt``.
+def format_rows(templates, values) -> str:
+    """The templates in turn, the ``%`` fields of each filled in order from
+    the flat float array ``values``; every template takes the same number
+    of floats.
 
-    One ``%`` operation per chunk of ``FORMAT_CHUNK_ROWS`` rows, not one
-    format call per value; ``%.17g`` writes the same text as
-    ``format(x, ".17g")``.
+    The one bulk text rule of every table: one ``%`` operation per chunk of
+    whole templates of about ``FORMAT_CHUNK_VALUES`` floats, not one format
+    call per value; ``%.17g`` writes the same text as ``format(x, ".17g")``.
     """
-    parts = []
-    for start in range(0, len(columns[0]), FORMAT_CHUNK_ROWS):
-        chunk = [c[start : start + FORMAT_CHUNK_ROWS].tolist() for c in columns]
-        values = tuple(itertools.chain.from_iterable(zip(*chunk)))
-        parts.append((fmt * len(chunk[0])) % values)
-    return "".join(parts)
+    values = np.ravel(values)
+    per = len(values) // len(templates) if templates else 0  # floats per template
+    size = max(1, FORMAT_CHUNK_VALUES // max(per, 1))  # templates per chunk
+    return "".join("".join(templates[r : r + size])
+                   % tuple(values[per * r : per * (r + size)].tolist())
+                   for r in range(0, len(templates), size))
 
 
 def atomic_write(path: str, data: str) -> None:
@@ -67,9 +69,8 @@ def _json_text(doc: dict, number: str = "%r") -> str:
     arrays = {k: v for k, v in doc.items() if isinstance(v, np.ndarray)}
     text = json.dumps({**doc, **dict.fromkeys(arrays)}, indent=1, sort_keys=True)
     for key, value in arrays.items():
-        columns = value.T if value.ndim == 2 else [value]
-        item = number if value.ndim == 1 else "[\n   " + ",\n   ".join([number] * len(columns)) + "\n  ]"
-        rows = format_rows(",\n  " + item, *columns)
+        item = number if value.ndim == 1 else "[\n   " + ",\n   ".join([number] * value.shape[1]) + "\n  ]"
+        rows = format_rows([",\n  " + item] * len(value), value)
         head = f"\n {json.dumps(key)}: "  # only a top-level key follows "\n "
         text = text.replace(head + "null", head + (f"[\n{rows[2:]}\n ]" if rows else "[]"), 1)
     return text + "\n"
@@ -161,12 +162,8 @@ def cloud_to_csv(cloud: PointCloud, matrix_sha: str) -> str:
     tails = [f",{k}\n" for k in columns[2][:m].tolist()] if steps else ["\n"] * m
     heads = ["%.17g,%.17g" + "".join(f",{v}" for v in row)
              for row in zip(*(c[::m].tolist() for c in columns[: 2 if steps else 3]))]
-    size = max(1, FORMAT_CHUNK_ROWS // m)  # rows per chunk
     floats = np.ascontiguousarray(cloud.points, dtype=complex).view(float)
-    rows = "".join("".join(h + h.join(tails) for h in heads[r : r + size])
-                   % tuple(floats[2 * m * r : 2 * m * (r + size)].tolist())
-                   for r in range(0, len(heads), size))
-    return "\n".join(lines) + "\n" + rows
+    return "\n".join(lines) + "\n" + format_rows([h + h.join(tails) for h in heads], floats)
 
 
 def save_cloud(path: str, cloud: PointCloud, matrix_sha: str) -> None:
@@ -223,10 +220,11 @@ def load_cloud(path: str, dim_hint: int = 0):
     points.real, points.imag = rows["re"], rows["im"]
     if not np.all(np.isfinite(points)):
         raise BadParams("cloud points must be finite")
-    cloud = PointCloud(points, parse("epsilon", float, _fmt), pattern, header["kind"], meta)
-    if not all(np.array_equal(rows[name], getattr(cloud, name)) for name in _CLOUD_ROW.names[2:]):
-        raise BadParams(f"cloud rows do not follow the {cloud.kind} layout of its header")
-    return cloud, header
+    epsilon = parse("epsilon", float, _fmt)
+    _, columns = _layout(header["kind"], pattern, meta, len(points))
+    if not all(map(np.array_equal, (rows[k] for k in _CLOUD_ROW.names[2:]), columns)):
+        raise BadParams(f"cloud rows do not follow the {header['kind']} layout of its header")
+    return PointCloud(points, epsilon, pattern, header["kind"], meta), header
 
 
 def grid_to_csv(field) -> str:
@@ -240,11 +238,8 @@ def grid_to_csv(field) -> str:
     # Each cell centre is formatted once: row i of the grid is the template
     # "re_i,im_j,%.17g\n" over j, so only sigma_min goes through %.17g.
     cells = [f",{_fmt(im)},%.17g\n" for im in field.im_centers]
-    rows = "".join(
-        (re_s + re_s.join(cells)) % tuple(values.tolist())
-        for re_s, values in zip(map(_fmt, field.re_centers), field.values)
-    )
-    return "\n".join(lines) + "\n" + rows
+    templates = [re_s + re_s.join(cells) for re_s in map(_fmt, field.re_centers)]
+    return "\n".join(lines) + "\n" + format_rows(templates, field.values)
 
 
 def save_grid(path: str, field) -> None:

@@ -27,6 +27,15 @@ def _centers(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) / count * (np.arange(count) + 0.5)
 
 
+def _window(bounds, name: str = "window bounds") -> tuple:
+    """The window (re_min, re_max, im_min, im_max) as floats; OutOfBounds
+    naming it unless both spans are positive and finite (so is every bound)."""
+    bounds = tuple(float(b) for b in bounds)
+    if not (0.0 < bounds[1] - bounds[0] < np.inf and 0.0 < bounds[3] - bounds[2] < np.inf):
+        raise OutOfBounds(f"{name} must have finite spans re_max - re_min > 0 and im_max - im_min > 0")
+    return bounds
+
+
 @dataclass(frozen=True)
 class GridField:
     """sigma_min(A - z I) sampled at the cell centers of a window."""
@@ -64,13 +73,9 @@ def default_window(sys, epsilon: float) -> tuple:
 
 def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridField:
     """Evaluate sigma_min(A - z I) at every cell center."""
-    bounds = tuple(float(b) for b in bounds)
+    bounds = _window(bounds)
     re_min, re_max, im_min, im_max = bounds
     n_re, n_im = (int(r) for r in resolution)
-    if not np.all(np.isfinite(bounds)):
-        raise OutOfBounds("window bounds must be finite")
-    if not (re_max > re_min and im_max > im_min):
-        raise OutOfBounds("window bounds are degenerate")
     if n_re < 2 or n_im < 2:
         raise OutOfBounds("resolution must be at least 2x2")
     zs = _centers(re_min, re_max, n_re)[:, None] + 1j * _centers(im_min, im_max, n_im)[None, :]

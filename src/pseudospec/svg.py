@@ -1,8 +1,8 @@
 """Deterministic standalone SVG scatter plots of point clouds.
 
 Hand-rolled writer so identical inputs give identical bytes: clouds as small
-circles (one fill color per cloud, formatted in bulk), eigenvalues as
-squares, axes with tick labels.
+circles (one fill color per cloud), eigenvalues as squares, axes with tick
+labels; every mark is filled in bulk by ``io.format_rows``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import BadParams
 from .io import format_rows
+from .oracle import _window
 
 WIDTH = 640
 HEIGHT = 640
@@ -21,23 +22,13 @@ PALETTE = ("#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 EIGEN_COLOR = "#d62728"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
-
-
-def _ticks(lo: float, hi: float) -> list:
-    return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
-
-
 def svg_render(clouds, eigenvalues, window) -> str:
     """Render labeled clouds and eigenvalue markers into an SVG document.
 
     ``clouds`` is a sequence of (label, complex_points); ``window`` is
     (re_min, re_max, im_min, im_max).
     """
-    re_min, re_max, im_min, im_max = (float(b) for b in window)
-    if not (re_max > re_min and im_max > im_min):
-        raise BadParams("plot window is degenerate")
+    re_min, re_max, im_min, im_max = _window(window, "plot window")
     if not clouds and len(np.atleast_1d(eigenvalues)) == 0:
         raise BadParams("nothing to plot")
 
@@ -47,51 +38,42 @@ def svg_render(clouds, eigenvalues, window) -> str:
     def sy(im):
         return HEIGHT - MARGIN - (im - im_min) / (im_max - im_min) * (HEIGHT - 2 * MARGIN)
 
+    def marks(template, points, offset=0.0):  # one template per point in the window
+        z = np.atleast_1d(np.asarray(points, dtype=complex))
+        z = z[(re_min <= z.real) & (z.real <= re_max) & (im_min <= z.imag) & (z.imag <= im_max)]
+        xy = np.column_stack((sx(z.real) - offset, sy(z.imag) - offset))
+        return format_rows([template] * len(z), xy)
+
+    # Tick i of an axis is lo + (hi - lo) * (i / (TICKS - 1)), the division
+    # first: (hi - lo) * i can overflow where the tick cannot.
+    at = np.arange(TICKS) / (TICKS - 1)
+    re_at, im_at = re_min + (re_max - re_min) * at, im_min + (im_max - im_min) * at
+    x_tick = (f'\n<line x1="%.6g" y1="{HEIGHT - MARGIN}" x2="%.6g" y2="{HEIGHT - MARGIN + 6}" '
+              f'stroke="black"/>\n<text x="%.6g" y="{HEIGHT - MARGIN + 20}" font-size="11" '
+              'text-anchor="middle">%.6g</text>')
+    y_tick = (f'\n<line x1="{MARGIN - 6}" y1="%.6g" x2="{MARGIN}" y2="%.6g" stroke="black"/>'
+              f'\n<text x="{MARGIN - 9}" y="%.6g" font-size="11" text-anchor="end">%.6g</text>')
+    x, y = sx(re_at), sy(im_at)
+    ticks = (format_rows([x_tick] * TICKS, np.column_stack((x, x, x, re_at)))
+             + format_rows([y_tick] * TICKS, np.column_stack((y, y, y, im_at))))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
-        f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>',
+        f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="black"/>{ticks}',
     ]
-
-    for value in _ticks(re_min, re_max):
-        x = _fmt(sx(value))
-        parts.append(
-            f'<line x1="{x}" y1="{HEIGHT - MARGIN}" x2="{x}" '
-            f'y2="{HEIGHT - MARGIN + 6}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{x}" y="{HEIGHT - MARGIN + 20}" font-size="11" '
-            f'text-anchor="middle">{_fmt(value)}</text>'
-        )
-    for value in _ticks(im_min, im_max):
-        y = _fmt(sy(value))
-        parts.append(
-            f'<line x1="{MARGIN - 6}" y1="{y}" x2="{MARGIN}" y2="{y}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN - 9}" y="{y}" font-size="11" '
-            f'text-anchor="end">{_fmt(value)}</text>'
-        )
 
     for idx, (label, points) in enumerate(clouds):
         color = PALETTE[idx % len(PALETTE)]
-        z = np.atleast_1d(np.asarray(points, dtype=complex))
-        z = z[(re_min <= z.real) & (z.real <= re_max) & (im_min <= z.imag) & (z.imag <= im_max)]
-        circles = format_rows('\n<circle cx="%.6g" cy="%.6g" r="1.5"/>', sx(z.real), sy(z.imag))
+        circles = marks('\n<circle cx="%.6g" cy="%.6g" r="1.5"/>', points)
         parts.append(f'<g fill="{color}" fill-opacity="0.6">')
         parts.append(f"<!-- cloud: {label} -->{circles}")
         parts.append("</g>")
 
-    parts.append(f'<g fill="{EIGEN_COLOR}">')
-    for z in np.atleast_1d(np.asarray(eigenvalues, dtype=complex)):
-        if re_min <= z.real <= re_max and im_min <= z.imag <= im_max:
-            parts.append(
-                f'<rect x="{_fmt(sx(z.real) - 3)}" y="{_fmt(sy(z.imag) - 3)}" '
-                f'width="6" height="6"/>'
-            )
+    squares = marks('\n<rect x="%.6g" y="%.6g" width="6" height="6"/>', eigenvalues, 3.0)
+    parts.append(f'<g fill="{EIGEN_COLOR}">{squares}')
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -519,8 +519,17 @@ def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
     (["oracle", "--eps-list", "0", "--out", "g.csv"], "eps-list", ["g.csv"]),
     (["oracle", "--bounds=0,1,0,inf", "--check", "cloud.csv"], "bounds", []),
     (["oracle", "--res", "1x1", "--check", "cloud.csv"], "res", []),
+    (["approx", "--baseline", "2", "--seed", "-1", "--out", "c.csv"], "--seed",
+     ["c.csv", "c.csv.baseline.csv"]),
+    (["approx", "--seed", "-1", "--out", "c.csv"], "--seed", ["c.csv"]),
+    (["oracle", "--res", "4x4", "--bounds=-1.7e308,1.7e308,-1,1", "--out", "g.csv"], "--bounds",
+     ["g.csv"]),
+    # The window overflows only after the sweep, but is checked before any write.
+    (["approx", "--epsilon", "1e308", "--out", "c.csv", "--svg", "p.svg"], "plot window",
+     ["c.csv", "p.svg"]),
 ], ids=["epsilon-nan", "epsilon-inf", "baseline-negative", "slack-nan", "bounds-inf",
-        "eps-list-negative", "eps-list-zero", "check-bounds-inf", "check-res-1x1"])
+        "eps-list-negative", "eps-list-zero", "check-bounds-inf", "check-res-1x1",
+        "baseline-seed-negative", "seed-negative", "bounds-span-overflows", "svg-window-overflows"])
 def test_bad_numeric_flag_exit_2_before_any_write(
     matrix_file, tmp_path, capsys, monkeypatch, argv, named, outputs
 ):
@@ -535,6 +544,23 @@ def test_bad_numeric_flag_exit_2_before_any_write(
     assert err.startswith("error: ") and named in err
     assert not any((tmp_path / name).exists() for name in outputs)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv", "m.json"]
+
+
+def test_generate_negative_seed_exit_2_names_the_flag(tmp_path, capsys):
+    assert run("generate", "--family", "tridiag_toeplitz", "--n", "5", "--seed", "-1",
+               "--out", tmp_path / "m.json") == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_svg_of_a_window_near_the_float_maximum_is_finite(matrix_file, tmp_path):
+    # A finite window whose span times TICKS - 1 overflows: every tick is drawn.
+    svg = tmp_path / "p.svg"
+    assert run("approx", matrix_file, "--epsilon", "1e307", "--angles", "4",
+               "--out", tmp_path / "c.csv", "--svg", svg) == 0
+    text = svg.read_text()
+    assert "inf" not in text and "nan" not in text
+    assert text.count('<line x1="580" y1="580" x2="580" y2="586" stroke="black"/>') == 1
 
 
 def test_oracle_res_default_is_the_library_default():

@@ -127,8 +127,11 @@ class TestAbscissaGrid:
 
 @pytest.mark.parametrize("bounds", [
     (0.0, 1.0, 0.0, np.inf), (-np.inf, 1.0, 0.0, 1.0), (0.0, np.nan, 0.0, 1.0),
+    (-1.7e308, 1.7e308, -1.0, 1.0), (0.0, 1.0, -1e308, 1e308),
 ])
-def test_non_finite_window_rejected(bounds):
+def test_non_finite_window_rejected(monkeypatch, bounds):
+    # Finite bounds whose span overflows too, before any SVD.
+    monkeypatch.setattr(oracle, "sigma_min_batch", None)
     with pytest.raises(OutOfBounds, match="finite"):
         grid_field(np.eye(2), bounds, (4, 4))
 
