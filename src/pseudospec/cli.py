@@ -166,7 +166,9 @@ def cmd_oracle(args) -> int:
     # The window and the grid only feed --out and --eps-list.
     if args.out or eps_list:
         if bounds is None:
-            bounds = oracle.default_window(eig_pairs(A), max(eps_list, default=1e-2))
+            window = oracle.default_window(eig_pairs(A), max(eps_list, default=1e-2))
+            name = "the window padded by --eps-list (choose one with --bounds)"
+            bounds = oracle._window(window, name)
         field = oracle.grid_field(A, bounds, resolution)
     # Before any write, so a cloud the check rejects leaves no --out file.
     report = oracle.cloud_inclusion_check(cloud, A, slack=args.slack) if args.check else None

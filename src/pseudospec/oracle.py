@@ -23,8 +23,13 @@ _WORST_BLOCK = 8
 
 
 def _centers(lo: float, hi: float, count: int) -> np.ndarray:
-    """The centers of ``count`` equal cells splitting [lo, hi]."""
-    return lo + (hi - lo) / count * (np.arange(count) + 0.5)
+    """The centers of ``count`` equal cells splitting [lo, hi], offset from
+    the midpoint so that they are symmetric by construction: when lo = -hi
+    the midpoint is exactly 0, and center ``count - 1 - j`` is exactly
+    minus center j.  The offsets scale the half span by ratios below 1, so
+    every center is finite whenever the span is."""
+    half = (hi - lo) / 2
+    return (lo + half) + half * ((2 * np.arange(count) + 1 - count) / count)
 
 
 def _window(bounds, name: str = "window bounds") -> tuple:
@@ -72,14 +77,24 @@ def default_window(sys, epsilon: float) -> tuple:
 
 
 def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridField:
-    """Evaluate sigma_min(A - z I) at every cell center."""
+    """Evaluate sigma_min(A - z I) at every cell center.
+
+    For real A (a -0.0 imaginary part counts as zero, as in ``eig_pairs``),
+    sigma_min(A - conj(z) I) = sigma_min(A - z I): when the window is also
+    symmetric about the real axis (im_min = -im_max), only the lower half of
+    the rows, and the middle one of an odd count, is evaluated, and the
+    upper half is its mirror image.
+    """
     bounds = _window(bounds)
     re_min, re_max, im_min, im_max = bounds
     n_re, n_im = (int(r) for r in resolution)
     if n_re < 2 or n_im < 2:
         raise OutOfBounds("resolution must be at least 2x2")
-    zs = _centers(re_min, re_max, n_re)[:, None] + 1j * _centers(im_min, im_max, n_im)[None, :]
-    return GridField(bounds, sigma_min_batch(A, zs.ravel()).reshape(n_re, n_im))
+    # The rows evaluated: the lower half and the middle one, or all of them.
+    rows = -(-n_im // 2) if im_min == -im_max and not np.imag(A).any() else n_im
+    zs = _centers(re_min, re_max, n_re)[:, None] + 1j * _centers(im_min, im_max, n_im)[:rows]
+    values = sigma_min_batch(A, zs.ravel()).reshape(zs.shape)
+    return GridField(bounds, np.hstack((values, values[:, : n_im - rows][:, ::-1])))
 
 
 @dataclass(frozen=True)

@@ -527,9 +527,12 @@ def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
     # The window overflows only after the sweep, but is checked before any write.
     (["approx", "--epsilon", "1e308", "--out", "c.csv", "--svg", "p.svg"], "plot window",
      ["c.csv", "p.svg"]),
+    (["oracle", "--res", "4x4", "--eps-list", "1e308", "--out", "g.csv"],
+     "--eps-list (choose one with --bounds)", ["g.csv"]),
 ], ids=["epsilon-nan", "epsilon-inf", "baseline-negative", "slack-nan", "bounds-inf",
         "eps-list-negative", "eps-list-zero", "check-bounds-inf", "check-res-1x1",
-        "baseline-seed-negative", "seed-negative", "bounds-span-overflows", "svg-window-overflows"])
+        "baseline-seed-negative", "seed-negative", "bounds-span-overflows", "svg-window-overflows",
+        "eps-list-window-overflows"])
 def test_bad_numeric_flag_exit_2_before_any_write(
     matrix_file, tmp_path, capsys, monkeypatch, argv, named, outputs
 ):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudospec import (
     SweepConfig,
@@ -47,6 +49,16 @@ class TestGridField:
         with pytest.raises(OutOfBounds):
             grid_field(np.eye(2), (0.0, 1.0, 0.0, 1.0), (1, 5))
 
+    @pytest.mark.parametrize("bounds,resolution", [
+        ((-5e305, 5e305, -1.0, 1.0), (200, 200)),
+        ((-0.8e308, 0.8e308, -1.0, 1.0), (4, 4)),
+        ((-1.0, 1.0, -0.8e308, 0.8e308), (4, 4)),
+    ])
+    def test_window_near_the_float_maximum_stays_finite(self, bounds, resolution):
+        field = grid_field(np.diag([1.0, -1.0]), bounds, resolution)
+        assert np.all(np.isfinite(field.re_centers)) and np.all(np.isfinite(field.im_centers))
+        assert np.all(np.isfinite(field.values)) and np.all(field.values > 0)
+
     def test_default_window_contains_spectrum(self):
         A, _, _ = generate("tridiag_toeplitz", 5, seed=0)
         sys = eig_pairs(A)
@@ -54,6 +66,91 @@ class TestGridField:
         w = sys.eigenvalues
         assert re_min < w.real.min() and re_max > w.real.max()
         assert im_min < w.imag.min() and im_max > w.imag.max()
+
+
+class TestCellCenters:
+    """oracle._centers: mirror-exact on a symmetric window, and within a few
+    ulps of the textbook lo + (hi - lo) / count * (j + 0.5)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hi=st.floats(1e-300, 8.98e307), count=st.integers(2, 1000))
+    def test_symmetric_window_mirrors_exactly(self, hi, count):
+        centers = oracle._centers(-hi, hi, count)
+        assert np.all(np.isfinite(centers))
+        assert np.array_equal(centers[::-1], -centers)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-1.7e308, 1.7e308), b=st.floats(-1.7e308, 1.7e308),
+           count=st.integers(2, 1000))
+    def test_increasing_inside_and_near_the_textbook_rule(self, a, b, count):
+        lo, hi = min(a, b), max(a, b)
+        ulp = np.spacing(max(abs(lo), abs(hi)))
+        assume(hi - lo < np.inf)  # a window _window accepts
+        assume(hi - lo > 8 * count * ulp)  # cells wider than the rounding
+        centers = oracle._centers(lo, hi, count)
+        assert np.all(np.diff(centers) > 0) and lo < centers[0] and centers[-1] < hi
+        textbook = lo + (hi - lo) / count * (np.arange(count) + 0.5)
+        assert np.all(np.abs(centers - textbook) <= 4 * ulp)
+
+
+class TestHalfGrid:
+    """For real A and a window symmetric about the real axis, grid_field
+    evaluates the lower half of the rows and mirrors them."""
+
+    @staticmethod
+    def _recorded(monkeypatch, A, bounds, resolution):
+        seen = []
+
+        def recording(A, zs):
+            seen.append(len(zs))
+            return sigma_min_batch(A, zs)
+
+        monkeypatch.setattr(oracle, "sigma_min_batch", recording)
+        return grid_field(A, bounds, resolution), seen
+
+    @staticmethod
+    def _signed_zero_imag(A):
+        A = A.astype(complex)
+        A.imag = -0.0
+        return A
+
+    @pytest.mark.parametrize("n_im", [7, 8])
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["real", "imag-minus-zero"])
+    def test_real_matrix_symmetric_window_evaluates_half(self, monkeypatch, n_im, signed_zero):
+        A, _, _ = generate("hamiltonian_random", 8, seed=0)
+        A = self._signed_zero_imag(A) if signed_zero else A
+        field, seen = self._recorded(monkeypatch, A, (-2.0, 2.0, -1.5, 1.5), (5, n_im))
+        assert seen == [5 * -(-n_im // 2)]
+        assert field.values.shape == (5, n_im)
+        assert np.array_equal(field.values[:, ::-1], field.values)
+
+    @pytest.mark.parametrize("case", ["complex", "asymmetric", "imag-minus-zero-asymmetric"])
+    @pytest.mark.parametrize("n_im", [7, 8])
+    def test_every_point_evaluated_otherwise(self, monkeypatch, case, n_im):
+        A, _, _ = generate("hamiltonian_random", 8, seed=0)
+        bounds = (-2.0, 2.0, -1.5, 1.5)
+        if case == "complex":
+            A = A + 1e-3j * np.eye(8)
+        elif case == "asymmetric":
+            bounds = (-2.0, 2.0, -1.5, 1.25)
+        else:
+            A, bounds = self._signed_zero_imag(A), (-2.0, 2.0, -1.25, 1.5)
+        _, seen = self._recorded(monkeypatch, A, bounds, (5, n_im))
+        assert seen == [5 * n_im]
+
+    @pytest.mark.parametrize("family,n", [
+        ("hamiltonian_random", 8), ("pentadiag_toeplitz", 5), ("tridiag_toeplitz", 6)
+    ])
+    @pytest.mark.parametrize("bounds", [(-3.0, 3.0, -2.0, 2.0), (-3.0, 3.0, -2.0, 1.5)])
+    @pytest.mark.parametrize("resolution", [(6, 9), (5, 10)])
+    def test_every_cell_is_the_svd_at_its_center(self, family, n, bounds, resolution):
+        A, _, _ = generate(family, n, seed=4)
+        field = grid_field(A, bounds, resolution)
+        u = np.finfo(float).eps / 2
+        for i, re in enumerate(field.re_centers):
+            for j, im in enumerate(field.im_centers):
+                s = np.linalg.svd(A - (re + 1j * im) * np.eye(n), compute_uv=False)
+                assert abs(field.values[i, j] - s[-1]) <= n * u * s[0]
 
 
 class TestCloudInclusion:
