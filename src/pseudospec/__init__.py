@@ -5,10 +5,7 @@ projections, with an SVD-grid oracle and random-perturbation baselines."""
 from .approx import (
     PointCloud,
     SweepConfig,
-    abscissa_lower_bound,
     coalescence_gap,
-    coverage_comparison,
-    directed_coverage_distance,
     first_order_trajectories,
     random_cloud,
     sweep_wilkinson,

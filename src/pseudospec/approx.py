@@ -1,5 +1,5 @@
-"""Sweep engines, random-perturbation baselines, first-order trajectories,
-and a pseudospectral abscissa lower bound.
+"""Sweep engines, random-perturbation baselines, first-order trajectories
+and the coalescence gap of a sweep.
 
 The Wilkinson sweep perturbs A by e^{i theta_k} * eps * W for the two most
 sensitive eigenvalues' (projected) Wilkinson directions W and a uniform angle
@@ -20,12 +20,11 @@ import scipy.linalg
 from . import numkernel
 from .errors import BadParams, DegenerateSpectrum
 from .numkernel import Eigensystem
-from .sensitivity import _check_overlaps, coalescence_estimate, kappas, wilkinson
+from .sensitivity import _check_overlaps, coalescence_estimate, wilkinson
 from .structures import (
     FULL,
     StructurePattern,
     _check_dim,
-    full,
     normalized_projection,
     random_member,
     random_rank_one,
@@ -237,17 +236,6 @@ def first_order_trajectories(
     return PointCloud(points.ravel(), float(eps_grid.max()), S, TRAJECTORY, meta)
 
 
-def abscissa_lower_bound(A: np.ndarray, epsilon: float, S: StructurePattern) -> float:
-    """max Re of the spectrum of A + eps * E for E the normalized projection
-    of the all-ones matrix onto S; a lower bound for the (structured)
-    eps-pseudospectral abscissa."""
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError("epsilon must be finite and positive")
-    E = normalized_projection(np.ones(np.shape(A)), S)
-    spectrum = _perturbed_spectra(A, [E], np.zeros(1, dtype=int), np.array([float(epsilon)]))
-    return float(np.max(spectrum.real))
-
-
 def _component_match(cloud: PointCloud, sys: Eigensystem) -> np.ndarray:
     """Sweep blocks matched to the unperturbed eigenvalues, one match per block.
 
@@ -280,41 +268,6 @@ def coalescence_gap(cloud: PointCloud, sys: Eigensystem, pair: tuple) -> float:
     if a.size == 0 or b.size == 0:
         raise DegenerateSpectrum("empty sub-cloud; pair does not match sweep")
     return float(_nearest_distances(a, b).min())
-
-
-def coverage_comparison(
-    sweep: PointCloud,
-    baseline: PointCloud,
-    sys: Eigensystem,
-    pair: tuple,
-    radius_factor: float = 0.3,
-):
-    """Directed coverage distances near the first-order tangency point.
-
-    Both clouds are restricted to a disk of radius
-    ``radius_factor * |lambda_i - lambda_j|`` around the point where the two
-    Wilkinson disks touch; returns ``(sweep_to_baseline, baseline_to_sweep)``.
-    A baseline that under-covers the coalescence region shows
-    ``sweep_to_baseline > baseline_to_sweep``.
-    """
-    li = sys.eigenvalues[pair[0]]
-    lj = sys.eigenvalues[pair[1]]
-    ki, kj = kappas(sys, full(sys.dim))[list(pair)]
-    pinch = li + (lj - li) * (ki / (ki + kj))
-    radius = radius_factor * abs(li - lj)
-    near_sweep = sweep.points[np.abs(sweep.points - pinch) < radius]
-    near_base = baseline.points[np.abs(baseline.points - pinch) < radius]
-    if near_sweep.size == 0 or near_base.size == 0:
-        raise DegenerateSpectrum("no cloud points near the tangency point")
-    return (
-        directed_coverage_distance(near_sweep, near_base),
-        directed_coverage_distance(near_base, near_sweep),
-    )
-
-
-def directed_coverage_distance(xs: np.ndarray, ys: np.ndarray) -> float:
-    """max over points of xs of the distance to the nearest point of ys."""
-    return float(_nearest_distances(xs, ys).max(initial=0.0))
 
 
 def _nearest_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

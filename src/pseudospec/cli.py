@@ -18,7 +18,7 @@ import numpy as np
 from . import approx as approx_mod
 from . import families, io, oracle, sensitivity, structures, svg
 from .errors import BadParams, EmptyLevelSet, NumericFailure, PseudospecError
-from .numkernel import eig_pairs
+from .numkernel import _is_real, eig_pairs
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
@@ -33,7 +33,7 @@ def _resolve_pattern(flag: str, declared, A):
         return structures.full(dim)
     if declared is not None and flag in ("auto", declared.kind):
         return declared
-    real = bool(np.all(A.imag == 0))
+    real = _is_real(A)
     if flag == "toeplitz":
         return structures.toeplitz(dim, structures.toeplitz_support_of(A), real=real)
     if flag == "hankel":
@@ -201,6 +201,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    if args.steps < 1:
+        raise BadParams("--steps must be at least 1")
+    if not 0.0 <= args.eps_max < np.inf:
+        raise BadParams("--eps-max must be finite and nonnegative")
     A, declared = io.load_matrix(args.matrix)
     pattern = _resolve_pattern(args.structure, declared, A)
     sys_ = eig_pairs(A)

@@ -170,7 +170,7 @@ def save_cloud(path: str, cloud: PointCloud, matrix_sha: str) -> None:
     atomic_write(path, cloud_to_csv(cloud, matrix_sha))
 
 
-def load_cloud(path: str, dim_hint: int = 0):
+def load_cloud(path: str, dim_hint: int):
     """Read a cloud CSV as :func:`cloud_to_csv` writes it; returns
     ``(PointCloud, header_dict)``.
 
@@ -179,8 +179,8 @@ def load_cloud(path: str, dim_hint: int = 0):
     writes, given once, with a value that parses, and every point must be
     finite.  The kind, its meta (a baseline's seed among it) and, unless
     the file has no rows, the provenance columns must follow the layout
-    rule of ``approx``.  A nonzero ``dim_hint`` is the dimension of the
-    matrix the cloud belongs to and must equal ``dim``.  Else BadParams.
+    rule of ``approx``.  ``dim_hint``, the dimension of the matrix the
+    cloud belongs to, must equal ``dim``.  Else BadParams.
     """
     with open(path, "rb") as fh:
         head, columns, body = fh.read().partition(f"\n{_CLOUD_COLUMNS}\n".encode())
@@ -208,7 +208,7 @@ def load_cloud(path: str, dim_hint: int = 0):
     extra = {k: parse(k, json.loads, json.dumps) for k in _CLOUD_KEYS if k in header}
     structure = {k: v for k, v in extra.items() if k in ("real", "support", "n_half")}
     pattern = pattern_from_dict({"kind": header["pattern"], **structure}, extra["dim"])
-    if dim_hint and pattern.dim != dim_hint:
+    if pattern.dim != dim_hint:
         raise BadParams(f"cloud dim {pattern.dim} does not match the matrix dimension {dim_hint}")
     meta = {k: parse(k, int) for k, absent in _CLOUD_ABSENT.items() if header[k] != absent}
     meta.update((k, tuple(v) if type(v) is list else v)

@@ -105,6 +105,13 @@ def _validate_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _is_real(A) -> bool:
+    """The one realness rule: A has no nonzero imaginary part (a -0.0 part
+    counts as zero).  Read on A itself, not on a scaled copy, whose tiny
+    imaginary parts may underflow to zero."""
+    return not np.imag(A).any()
+
+
 def _scaled(A: np.ndarray):
     """``(A, B, e)``: A validated, B = A / 2^e and e, 2^e the power of two
     just above A's largest |Re| or |Im| entry.  The division is exact, and
@@ -158,16 +165,16 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     """Compute the full eigensystem of A with matched left eigenvectors.
 
     One LAPACK eigensolve (xGEEV) returns each eigenvalue with its right and
-    left eigenvector: dgeev for real input, whose complex triples come in
-    exact conjugate pairs, else zgeev.  It runs on B = A / 2^e of
-    :func:`_scaled`, so no norm can overflow.  All checks run on B;
+    left eigenvector: dgeev for real input (:func:`_is_real`), whose
+    complex triples come in exact conjugate pairs, else zgeev.  It runs on
+    B = A / 2^e of :func:`_scaled`, so no norm can overflow.  All checks run on B;
     eigenvalues are scaled back by 2^e.  Raises DefectiveInput for the zero
     matrix and when the minimal eigenvalue gap falls below
     ``GAP_TOL_FACTOR * ||A||_F``, and NonConvergence when a right or left
     residual exceeds ``TOL_EIG * ||A||_F``.
     """
-    _, B, e = _scaled(A)
-    B = B if B.imag.any() else B.real
+    A, B, e = _scaled(A)
+    B = B.real if _is_real(A) else B
     norm_b = np.linalg.norm(B)
     if norm_b == 0.0:
         raise DefectiveInput("the zero matrix has one eigenvalue of full multiplicity")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLevelSet, OutOfBounds
-from .numkernel import _sigma_min_bounds, sigma_min_batch
+from .numkernel import _is_real, _sigma_min_bounds, sigma_min_batch
 from .sensitivity import kappas
 from .structures import full
 
@@ -79,7 +79,7 @@ def default_window(sys, epsilon: float) -> tuple:
 def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridField:
     """Evaluate sigma_min(A - z I) at every cell center.
 
-    For real A (a -0.0 imaginary part counts as zero, as in ``eig_pairs``),
+    For real A (``numkernel._is_real``, the rule of ``eig_pairs``),
     sigma_min(A - conj(z) I) = sigma_min(A - z I): when the window is also
     symmetric about the real axis (im_min = -im_max), only the lower half of
     the rows, and the middle one of an odd count, is evaluated, and the
@@ -91,7 +91,7 @@ def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridFiel
     if n_re < 2 or n_im < 2:
         raise OutOfBounds("resolution must be at least 2x2")
     # The rows evaluated: the lower half and the middle one, or all of them.
-    rows = -(-n_im // 2) if im_min == -im_max and not np.imag(A).any() else n_im
+    rows = -(-n_im // 2) if im_min == -im_max and _is_real(A) else n_im
     zs = _centers(re_min, re_max, n_re)[:, None] + 1j * _centers(im_min, im_max, n_im)[:rows]
     values = sigma_min_batch(A, zs.ravel()).reshape(zs.shape)
     return GridField(bounds, np.hstack((values, values[:, : n_im - rows][:, ::-1])))

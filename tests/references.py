@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from pseudospec import normalized_projection
 from pseudospec.numkernel import Eigensystem, _normalized_triples
 
 
@@ -44,3 +45,36 @@ def symplectic_j(n_half: int) -> np.ndarray:
     J[:n_half, n_half:] = np.eye(n_half)
     J[n_half:, :n_half] = -np.eye(n_half)
     return J
+
+
+def all_ones_abscissa(A: np.ndarray, epsilon: float, S) -> float:
+    """max Re of the spectrum of A + eps * E, E the unit-norm projection of
+    the all-ones matrix onto S: a lower bound for the (structured)
+    eps-pseudospectral abscissa."""
+    E = normalized_projection(np.ones(np.shape(A)), S)
+    return float(np.linalg.eigvals(A + epsilon * E).real.max())
+
+
+def coverage_distances(
+    sweep: np.ndarray, baseline: np.ndarray, sys: Eigensystem, pair, radius_factor: float
+):
+    """Directed coverage distances ``(sweep_to_baseline, baseline_to_sweep)``
+    near the first-order tangency point of the pair, each the largest
+    distance from a point of one set to its nearest in the other, read off
+    the dense matrix of all pairwise distances.
+
+    Both point sets are restricted to a disk of radius
+    ``radius_factor * |lambda_i - lambda_j|`` around the point where the two
+    Wilkinson disks, of radii eps * kappa = eps / |y^H x|, touch.  A baseline
+    that under-covers the coalescence region shows
+    ``sweep_to_baseline > baseline_to_sweep``.
+    """
+    li, lj = sys.eigenvalues[list(pair)]
+    ki, kj = 1.0 / np.abs(sys.overlaps[list(pair)])
+    pinch = li + (lj - li) * (ki / (ki + kj))
+    radius = radius_factor * abs(li - lj)
+    near_sweep = sweep[np.abs(sweep - pinch) < radius]
+    near_base = baseline[np.abs(baseline - pinch) < radius]
+    assert near_sweep.size and near_base.size, "no cloud points near the tangency point"
+    distances = np.abs(near_sweep[:, None] - near_base[None, :])
+    return float(distances.min(axis=1).max()), float(distances.min(axis=0).max())

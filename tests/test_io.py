@@ -85,7 +85,7 @@ def test_cloud_rows_match_per_row_format_and_round_trip(tmp_path_factory, cloud,
     # ... and read back without loss.
     path = tmp_path_factory.mktemp("cloud") / "c.csv"
     io.save_cloud(str(path), cloud, "sha")
-    loaded, header = io.load_cloud(str(path))
+    loaded, header = io.load_cloud(str(path), dim_hint=cloud.pattern.dim)
     assert np.array_equal(_bits(loaded.points), _bits(cloud.points))
     for name in ("source_eigen", "angle_index", "sample_index"):
         assert np.array_equal(getattr(loaded, name), getattr(cloud, name))
@@ -105,7 +105,7 @@ def test_load_cloud_lays_out_the_rows_once(tmp_path, monkeypatch, kind, meta):
     io.save_cloud(str(path), PointCloud(np.arange(count) * (1 + 0.5j), 0.5, pattern, kind, meta), "sha")
     calls = []
     monkeypatch.setattr(io, "_layout", lambda *a: calls.append(a) or approx._layout(*a))
-    cloud, _ = io.load_cloud(str(path))
+    cloud, _ = io.load_cloud(str(path), dim_hint=3)
     assert calls == [(kind, pattern, meta, count)] and len(cloud) == count
 
 

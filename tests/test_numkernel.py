@@ -289,6 +289,35 @@ class TestRealInput:
         eig_pairs(A)
         assert seen == [np.dtype(dtype)]
 
+    @pytest.mark.parametrize("case,real", [
+        ("real", True), ("imag-minus-zero", True), ("underflowing", False), ("complex", False)
+    ])
+    def test_one_realness_rule(self, monkeypatch, case, real):
+        # The eigensolve, the half grid and --structure read one rule on A.
+        # The entry 1e-320j is nonzero in A but underflows to 0 in A / 2^e.
+        import scipy.linalg
+
+        from pseudospec import cli, oracle
+
+        A = generate("hamiltonian_random", 4, seed=0)[0] * 1e6
+        if case != "real":
+            A = A.astype(complex)
+            A.imag = {"imag-minus-zero": -0.0, "underflowing": 0.0, "complex": 1e-3}[case]
+        if case == "underflowing":
+            A[0, 1] += 1e-320j
+            assert numkernel._scaled(A)[1].imag.max() == 0.0
+        dtypes, counts, eig = [], [], scipy.linalg.eig
+        monkeypatch.setattr(numkernel.scipy.linalg, "eig",
+                            lambda B, **kw: dtypes.append(B.dtype) or eig(B, **kw))
+        monkeypatch.setattr(oracle, "sigma_min_batch",
+                            lambda A, zs: counts.append(len(zs)) or np.zeros(len(zs)))
+        eig_pairs(A)
+        oracle.grid_field(A, (-1.0, 1.0, -1.0, 1.0), (5, 8))
+        assert dtypes == [np.dtype(float if real else complex)]
+        assert counts == [5 * (4 if real else 8)]
+        for flag in ("toeplitz", "hamiltonian"):
+            assert cli._resolve_pattern(flag, None, A).real is real
+
 
 class TestTridiagReference:
     def test_symmetric_cosine_spectrum(self):

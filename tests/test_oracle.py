@@ -9,7 +9,6 @@ from pseudospec import (
     SweepConfig,
     oracle,
     abscissa_grid,
-    abscissa_lower_bound,
     cloud_inclusion_check,
     eig_pairs,
     full,
@@ -20,6 +19,7 @@ from pseudospec.errors import EmptyLevelSet, OutOfBounds
 from pseudospec.families import FAMILIES, generate
 from pseudospec.numkernel import sigma_min_batch
 from pseudospec.oracle import default_window
+from references import all_ones_abscissa
 
 
 class TestGridField:
@@ -211,7 +211,7 @@ class TestAbscissaGrid:
         A, pattern, _ = generate("tridiag_toeplitz", 4, seed=1)
         sys = eig_pairs(A)
         eps = 0.1
-        lb = abscissa_lower_bound(A, eps, full(4))
+        lb = all_ones_abscissa(A, eps, full(4))
         field = grid_field(A, default_window(sys, eps), (300, 300))
         value, unc = abscissa_grid(field, eps)
         assert lb <= value + unc + 1e-12
