@@ -28,6 +28,7 @@ from .structures import (
     normalized_projection,
     random_member,
     random_rank_one,
+    symmetries,
 )
 
 WILKINSON_SWEEP = "wilkinson_sweep"
@@ -140,36 +141,83 @@ def _layout(kind: str, pattern: StructurePattern, meta: dict, points: int | None
     return (a[:: shape[2]], b[:: shape[2]]), columns
 
 
+def _mirrors(A: np.ndarray, D: np.ndarray, terms: np.ndarray, scales: np.ndarray):
+    """The row mirror of ``_perturbed_spectra``: ``(source, signs)``.
+
+    One forward pass over the rows.  Row p copies an earlier solved row q
+    (source[p] = q, signs[p] = s) when a symmetry (psi, s) of A
+    (``structures.symmetries``) has psi(D[terms[p]]) equal to D[terms[q]]
+    and scales[q] equal to conj(scales[p]), both by exact array equality:
+    the two rows' matrices are then exact images of each other in floating
+    point, and the spectrum of row p is that of row q mapped by
+    z -> s * conj(z).  Any other row is solved (source[p] = p, signs[p] = 0),
+    and a row copies only solved rows.
+    """
+    source, signs = np.arange(len(terms)), np.zeros(len(terms), dtype=int)
+    found = symmetries(A)
+    if not found:
+        return source, signs
+    # Directions as ids of their bytes, the first of equal ones; x + 0.0
+    # reads -0.0 as 0.0, as array equality does (and Python's complex ==
+    # and hash, which key the scales).
+    index = {}
+    for u, M in enumerate(D + 0.0):
+        index.setdefault(M.tobytes(), u)
+    ids = [index[M.tobytes()] for M in D + 0.0]
+    images = [[index.get(M.tobytes()) for M in psi(D) + 0.0] for psi, _ in found]
+    solved = {}
+    for p, (t, c) in enumerate(zip(terms.tolist(), scales.tolist())):
+        for image, (_, s) in zip(images, found):
+            q = solved.get((image[t], c.conjugate()))
+            if q is not None:
+                source[p], signs[p] = q, s
+                break
+        else:
+            solved.setdefault((ids[t], c), p)
+    return source, signs
+
+
 def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.ndarray):
     """Spectra of A + scales[p] * directions[terms[p]] for every row p.
 
-    Stacked eigensolves over the rows, in slices run by
-    ``numkernel._stacked``; each spectrum is sorted by the order rule of
-    ``eig_pairs``, on the scale ||A||_F + max |scales| * max ||D||_F that
-    bounds every row's Frobenius norm (nrm2, which neither overflows nor
-    underflows), and the points are returned flattened in row order.
+    Stacked eigensolves over the rows that ``_mirrors`` leaves solved, in
+    slices run by ``numkernel._stacked``; every other row takes its source
+    row's spectrum mapped by z -> s * conj(z).  Each spectrum is sorted by
+    the order rule of ``eig_pairs``, on the scale ||A||_F + max |scales| *
+    max ||D||_F that bounds every row's Frobenius norm (nrm2, which neither
+    overflows nor underflows), and the points are returned flattened in
+    row order.
     """
     A = np.asarray(A, dtype=complex)
     D = np.asarray(directions, dtype=complex)
     spectra = np.empty((len(terms), A.shape[0]), dtype=complex)
+    source, signs = _mirrors(A, D, terms, scales)
+    mirrored = signs != 0
+    solve = np.flatnonzero(~mirrored)
 
     def work(rows):
         # One buffer per slice: gather, scale in place, add A.  The scale
         # stays the first factor, so each product rounds exactly as c * D.
+        rows = solve[rows]
         stack = D[terms[rows]]
         np.multiply(scales[rows, None, None], stack, out=stack)
         stack += A
         spectra[rows] = np.linalg.eigvals(stack)
 
-    numkernel._stacked(work, len(terms), A.shape[0])
+    numkernel._stacked(work, len(solve), A.shape[0])
+    images = spectra[source[mirrored]].conj()
+    spectra[mirrored] = np.where(signs[mirrored, None] < 0, -images, images)
     norm_a, *norms_d = (scipy.linalg.norm(M.ravel()) for M in (A, *D))
     order = numkernel._spectral_order(spectra, norm_a + np.abs(scales).max() * max(norms_d))
     return np.take_along_axis(spectra, order, axis=1).ravel()
 
 
 def _unit_circle(eps: float, K: int) -> np.ndarray:
-    """eps * e^{i theta_k} on the uniform grid theta_k = 2 pi k / K."""
-    return eps * np.exp(1j * (2.0 * np.pi * np.arange(K) / K))
+    """eps * e^{i theta_k} on the uniform grid theta_k = 2 pi k / K,
+    conjugate-symmetric by construction: c_{K-k} = conj(c_k), the points
+    with k <= K / 2 evaluated and the rest their conjugates."""
+    half = eps * np.exp(1j * (2.0 * np.pi * np.arange(K // 2 + 1) / K))
+    return np.concatenate((half, half[1 : K - K // 2][::-1].conj()))
 
 
 def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointCloud:

@@ -117,7 +117,7 @@ def cmd_approx(args) -> int:
     sys_ = eig_pairs(A)
     cloud = approx_mod.sweep_wilkinson(A, sys_, cfg)
     if args.svg:  # checked before any write, so a rejected plot window leaves no file
-        window = oracle._window(oracle.default_window(sys_, cloud.epsilon), "plot window")
+        window = oracle._window(oracle.default_window(sys_, cloud.epsilon, A), "plot window")
     sha = io.matrix_hash(args.matrix)
     io.save_cloud(args.out, cloud, sha)
     print(
@@ -166,7 +166,7 @@ def cmd_oracle(args) -> int:
     # The window and the grid only feed --out and --eps-list.
     if args.out or eps_list:
         if bounds is None:
-            window = oracle.default_window(eig_pairs(A), max(eps_list, default=1e-2))
+            window = oracle.default_window(eig_pairs(A), max(eps_list, default=1e-2), A)
             name = "the window padded by --eps-list (choose one with --bounds)"
             bounds = oracle._window(window, name)
         field = oracle.grid_field(A, bounds, resolution)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLevelSet, OutOfBounds
-from .numkernel import _is_real, _sigma_min_bounds, sigma_min_batch
+from .numkernel import _sigma_min_bounds, sigma_min_batch
 from .sensitivity import kappas
-from .structures import full
+from .structures import full, symmetries
 
 DEFAULT_RESOLUTION = (200, 200)
 # Points per SVD batch in the search for the worst point of a cloud.
@@ -63,38 +63,48 @@ class GridField:
         return max((re_max - re_min) / n_re, (im_max - im_min) / n_im)
 
 
-def default_window(sys, epsilon: float) -> tuple:
-    """Spectrum bounding box padded by 2 * eps * max kappa on each side."""
+def default_window(sys, epsilon: float, A: np.ndarray) -> tuple:
+    """Spectrum bounding box padded by 2 * eps * max kappa on each side,
+    closed under the point maps z -> s * conj(z) of A's symmetries
+    (``structures.symmetries``): s = 1 makes im_min = -im_max, s = -1
+    makes re_min = -re_max, exactly.  A box that is already closed keeps
+    its bits, as the box of real A does (dgeev's exact conjugate pairs)."""
     w = sys.eigenvalues
     pad = 2.0 * epsilon * max(kappas(sys, full(sys.dim)))
     pad = max(pad, 1e-6)
-    return (
-        float(w.real.min() - pad),
-        float(w.real.max() + pad),
-        float(w.imag.min() - pad),
-        float(w.imag.max() + pad),
-    )
+    box = [w.real.min() - pad, w.real.max() + pad, w.imag.min() - pad, w.imag.max() + pad]
+    for _, s in symmetries(A):
+        i = 2 if s > 0 else 0  # z -> conj(z) flips Im, z -> -conj(z) flips Re
+        box[i], box[i + 1] = min(box[i], -box[i + 1]), max(box[i + 1], -box[i])
+    return tuple(float(b) for b in box)
 
 
 def grid_field(A: np.ndarray, bounds, resolution=DEFAULT_RESOLUTION) -> GridField:
     """Evaluate sigma_min(A - z I) at every cell center.
 
-    For real A (``numkernel._is_real``, the rule of ``eig_pairs``),
-    sigma_min(A - conj(z) I) = sigma_min(A - z I): when the window is also
-    symmetric about the real axis (im_min = -im_max), only the lower half of
-    the rows, and the middle one of an odd count, is evaluated, and the
-    upper half is its mirror image.
+    Each symmetry (psi, s) of A (``structures.symmetries``) gives
+    sigma_min(A - z I) = sigma_min(A - s * conj(z) I).  Complex conjugation
+    (s = 1, real A) reflects across the real axis: when the window has
+    im_min = -im_max, only the lower half of the rows (one per Im), and the
+    middle one of an odd count, is evaluated, and the upper half is its
+    mirror image.  J M^H J (s = -1, Hamiltonian A) reflects across the
+    imaginary axis, and halves the columns (one per Re) the same way when
+    re_min = -re_max.  A real Hamiltonian A on a window symmetric in both
+    axes evaluates a quarter of the grid.
     """
     bounds = _window(bounds)
     re_min, re_max, im_min, im_max = bounds
     n_re, n_im = (int(r) for r in resolution)
     if n_re < 2 or n_im < 2:
         raise OutOfBounds("resolution must be at least 2x2")
-    # The rows evaluated: the lower half and the middle one, or all of them.
-    rows = -(-n_im // 2) if im_min == -im_max and _is_real(A) else n_im
-    zs = _centers(re_min, re_max, n_re)[:, None] + 1j * _centers(im_min, im_max, n_im)[:rows]
+    # The rows and columns evaluated: the lower half and the middle one, or all.
+    signs = {s for _, s in symmetries(A)}
+    rows = -(-n_im // 2) if im_min == -im_max and 1 in signs else n_im
+    cols = -(-n_re // 2) if re_min == -re_max and -1 in signs else n_re
+    zs = _centers(re_min, re_max, n_re)[:cols, None] + 1j * _centers(im_min, im_max, n_im)[:rows]
     values = sigma_min_batch(A, zs.ravel()).reshape(zs.shape)
-    return GridField(bounds, np.hstack((values, values[:, : n_im - rows][:, ::-1])))
+    values = np.hstack((values, values[:, : n_im - rows][:, ::-1]))
+    return GridField(bounds, np.vstack((values, values[: n_re - cols][::-1])))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Structure patterns, membership tests, nearest-matrix projections, random
-structured/unstructured perturbation generators, the Toeplitz assembler, and
-the symplectic J with the Hamiltonian rephasing of eigen-triples.
+structured/unstructured perturbation generators, the Toeplitz assembler,
+the symplectic J with the Hamiltonian rephasing of eigen-triples, and the
+symmetry rule: the conjugate-linear involutions that fix a matrix.
 
 Supported patterns: full (no constraint), Toeplitz with a diagonal support
 set, Hankel with an antidiagonal support set, and Hamiltonian (2n x 2n
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, ZeroProjection
-from .numkernel import Eigensystem, _column_dots, _unit_phases
+from .numkernel import Eigensystem, _column_dots, _is_real, _unit_phases
 
 MEMBERSHIP_RTOL = 1e-12
 NORM_RTOL = 1e-14
@@ -130,12 +131,26 @@ def pattern_from_dict(d, dim: int) -> StructurePattern:
     return S
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F: ``np.linalg.norm(M)`` wherever that is finite, bit for bit;
+    where it overflows, the norm of M / 2^e times 2^e, 2^e just above M's
+    largest |Re| or |Im| entry (the scaling of ``numkernel._scaled``), which
+    overflows only when ||M||_F itself does."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(M)
+        if norm < np.inf:
+            return norm
+        parts = np.ascontiguousarray(M, dtype=complex).view(float)
+        e = int(np.frexp(np.abs(parts).max())[1])
+        return np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e)
+
+
 def toeplitz_support_of(A: np.ndarray) -> frozenset:
     """Offsets of the diagonals of A holding an entry above
     ``MEMBERSHIP_RTOL * ||A||_F``."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    thresh = MEMBERSHIP_RTOL * max(np.linalg.norm(A), 1e-300)
+    thresh = MEMBERSHIP_RTOL * max(_frobenius(A), 1e-300)
     return frozenset(
         k
         for k in range(-(n - 1), n)
@@ -162,6 +177,36 @@ def _j(X: np.ndarray, n_half: int) -> np.ndarray:
     return np.concatenate([X[n_half:], -X[:n_half]])
 
 
+def _hamiltonian_image(M: np.ndarray) -> np.ndarray:
+    """J M^H J on the last two axes of M: [[-D^H, B^H], [C^H, -A^H]] for the
+    blocks [[A, B], [C, D]], by moves and negations only, so nothing rounds."""
+    h = M.shape[-1] // 2
+    H = np.conj(np.swapaxes(M, -1, -2))
+    out = np.empty(H.shape, dtype=H.dtype)
+    out[..., :h, :h], out[..., :h, h:] = -H[..., h:, h:], H[..., h:, :h]
+    out[..., h:, :h], out[..., h:, h:] = H[..., :h, h:], -H[..., :h, :h]
+    return out
+
+
+def symmetries(A: np.ndarray) -> tuple:
+    """The symmetry rule: the conjugate-linear involutions psi that fix A
+    exactly, as ``(psi, s)`` pairs.
+
+    Complex conjugation (s = 1) when A is real (``numkernel._is_real``);
+    M -> J M^H J (s = -1), whose fixed points ``project`` returns for the
+    Hamiltonian pattern, when A equals its image bit for bit.  Each psi acts
+    on the last two axes of a stack, moves and negates entries only, keeps
+    singular values and has psi(c M) = conj(c) psi(M).  So psi(A + c D) =
+    A + conj(c) psi(D), and both the spectrum and the sigma_min field of
+    psi(M) are those of M mapped by z -> s * conj(z).
+    """
+    A = np.asarray(A, dtype=complex)
+    found = [(np.conj, 1)] if _is_real(A) else []
+    if A.shape[-1] % 2 == 0 and np.array_equal(_hamiltonian_image(A), A):
+        found.append((_hamiltonian_image, -1))
+    return tuple(found)
+
+
 def _check_dim(M: np.ndarray, S: StructurePattern) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != S.dim:
@@ -184,8 +229,8 @@ def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
 
     A real pattern first restricts M to its real part.  Toeplitz/Hankel:
     each supported (anti)diagonal is replaced by its arithmetic mean,
-    everything else is zeroed.  Hamiltonian: (M + J M^H J) / 2, with
-    J M^H J = -J (J conj(M))^T.  Full: the identity.
+    everything else is zeroed.  Hamiltonian: (M + J M^H J) / 2.  Full: the
+    identity.
     """
     M = _check_dim(M, S)
     if S.real:
@@ -194,7 +239,7 @@ def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
         return M.copy()
     if S.kind in (TOEPLITZ, HANKEL):
         return _project_banded(M, S.support, antidiagonal=(S.kind == HANKEL))
-    return 0.5 * (M - _j(_j(M.conj(), S.n_half).T, S.n_half))
+    return 0.5 * (M + _hamiltonian_image(M))
 
 
 def _diagonal_sums(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
@@ -275,16 +320,16 @@ def _structured(sys: Eigensystem, S: StructurePattern):
 def is_member(M: np.ndarray, S: StructurePattern) -> bool:
     """True iff M lies in S to within ``MEMBERSHIP_RTOL * ||M||_F``."""
     M = _check_dim(M, S)
-    tol = MEMBERSHIP_RTOL * max(np.linalg.norm(M), 1e-300)
-    return bool(np.linalg.norm(M - project(M, S)) <= tol)
+    tol = MEMBERSHIP_RTOL * max(_frobenius(M), 1e-300)
+    return bool(_frobenius(M - project(M, S)) <= tol)
 
 
 def normalized_projection(M: np.ndarray, S: StructurePattern) -> np.ndarray:
     """Unit-Frobenius-norm member of S parallel to the projection of M."""
     M = _check_dim(M, S)
     P = project(M, S)
-    norm = np.linalg.norm(P)
-    if norm <= NORM_RTOL * max(np.linalg.norm(M), 1e-300):
+    norm = _frobenius(P)
+    if norm <= NORM_RTOL * max(_frobenius(M), 1e-300):
         raise ZeroProjection("matrix is numerically orthogonal to the structure")
     return P / norm
 

@@ -211,7 +211,7 @@ def test_normal_matrix_ground_truth():
     A = np.diag(diag)
     sys = eig_pairs(A)
     eps = 0.4
-    field = grid_field(A, default_window(sys, eps), (150, 150))
+    field = grid_field(A, default_window(sys, eps, A), (150, 150))
     zs = field.re_centers[:, None] + 1j * field.im_centers[None, :]
     dist = np.abs(zs[:, :, None] - diag[None, None, :]).min(axis=2)
     level_mismatch = (field.values <= eps) != (dist <= eps)
@@ -247,7 +247,7 @@ def test_abscissa_bounds():
         A = rng.standard_normal((4, 4))
         sys = eig_pairs(A)
         for eps in (1e-2, 1e-1):
-            field = grid_field(A, default_window(sys, eps), (200, 200))
+            field = grid_field(A, default_window(sys, eps, A), (200, 200))
             value, _ = abscissa_grid(field, eps)
             lb = all_ones_abscissa(A, eps, full(4))
             ok &= lb <= value + field.cell_width

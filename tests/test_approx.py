@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from pseudospec.errors import (
     NonConvergence,
 )
 from pseudospec.families import FAMILIES, generate
-from references import all_ones_abscissa, coverage_distances
+from pseudospec.sensitivity import wilkinson
+from references import all_ones_abscissa, coverage_distances, symplectic_j
 
 
 class TestSweepWilkinson:
@@ -252,57 +254,71 @@ def _fro(M):
     return scipy.linalg.norm(np.ravel(M))
 
 
-def _sorted_spectrum(B, scale):
-    """eig(B) by Re in units of 1e-10 * scale, then Im, then Re."""
-    w = np.linalg.eigvals(B)
+def _sort(w, scale):
+    """w by Re in units of 1e-10 * scale, then Im, then Re."""
     return w[np.lexsort((w.real, w.imag, np.round(w.real / (1e-10 * scale))))]
+
+
+def _sorted_spectrum(B, scale):
+    return _sort(np.linalg.eigvals(B), scale)
+
+
+def _circle(eps, K):
+    """eps * e^{i theta_k} for k <= K / 2, and conj(c_{K-k}) above: the
+    conjugate-symmetric unit circle, one point at a time."""
+    thetas = 2.0 * np.pi * np.arange(K) / K
+    points = [eps * np.exp(1j * theta) for theta in thetas]
+    return np.array([points[k] if 2 * k <= K else np.conj(points[K - k]) for k in range(K)])
 
 
 def _loop_sweep(A, sys, cfg):
     """Reference sweep: one eigensolve per (eigenvalue, angle), in order."""
-    from pseudospec.approx import resolve_pair_and_epsilon
-    from pseudospec.sensitivity import wilkinson
-
     A = np.asarray(A, dtype=complex)
     pair, eps = resolve_pair_and_epsilon(sys, cfg)
     n, K = sys.dim, cfg.angles
-    thetas = 2.0 * np.pi * np.arange(K) / K
+    circle = _circle(eps, K)
     points, src, ang = [], [], []
     directions = [wilkinson(sys, i, cfg.pattern) for i in pair]
-    scale = _fro(A) + np.abs(eps * np.exp(1j * thetas)).max() * max(map(_fro, directions))
+    scale = _fro(A) + np.abs(circle).max() * max(map(_fro, directions))
     for i, W in zip(pair, directions):
-        for k, theta in enumerate(thetas):
-            points.append(_sorted_spectrum(A + eps * np.exp(1j * theta) * W, scale))
+        for k, c in enumerate(circle):
+            points.append(_sorted_spectrum(A + c * W, scale))
             src.append(np.full(n, i))
             ang.append(np.full(n, k))
     return np.concatenate(points), np.concatenate(src), np.concatenate(ang)
+
+
+def _random_directions(pattern, samples, seed):
+    """The baseline's directions, drawn as random_cloud draws them."""
+    rng = np.random.default_rng(seed)
+    if pattern.kind == "full":
+        return [random_rank_one(pattern.dim, rng) for _ in range(samples)]
+    return [random_member(pattern, rng) for _ in range(samples)]
 
 
 def _loop_random(A, cfg, samples, seed):
     """Reference baseline: one eigensolve per (sample, angle), in order."""
     A = np.asarray(A, dtype=complex)
     n, K = A.shape[0], cfg.angles
-    thetas = 2.0 * np.pi * np.arange(K) / K
-    rng = np.random.default_rng(seed)
-    if cfg.pattern.kind == "full":
-        directions = [random_rank_one(n, rng) for _ in range(samples)]
-    else:
-        directions = [random_member(cfg.pattern, rng) for _ in range(samples)]
-    scale = _fro(A) + np.abs(cfg.epsilon * np.exp(1j * thetas)).max() * max(map(_fro, directions))
+    circle = _circle(cfg.epsilon, K)
+    directions = _random_directions(cfg.pattern, samples, seed)
+    scale = _fro(A) + np.abs(circle).max() * max(map(_fro, directions))
     points, ang, smp = [], [], []
     for s, E in enumerate(directions):
-        for k, theta in enumerate(thetas):
-            points.append(_sorted_spectrum(A + cfg.epsilon * np.exp(1j * theta) * E, scale))
+        for k, c in enumerate(circle):
+            points.append(_sorted_spectrum(A + c * E, scale))
             ang.append(np.full(n, k))
             smp.append(np.full(n, s))
     return np.concatenate(points), np.concatenate(ang), np.concatenate(smp)
 
 
 def _family_cases():
+    # e^{0.3i} A: complex, and fixed by no symmetry (neither real nor
+    # Hamiltonian), so every row is solved and the loops are bitwise references.
     for family, n in zip(FAMILIES, (5, 6, 6)):
         A, pattern, _ = generate(family, n, seed=4)
-        for S in (full(n), pattern):
-            yield pytest.param(A, S, id=f"{family}-{S.kind}")
+        for S in (full(n), replace(pattern, real=False)):
+            yield pytest.param(np.exp(0.3j) * A, S, id=f"{family}-{S.kind}")
 
 
 class TestBatchedEngine:
@@ -368,11 +384,14 @@ class TestBatchedEngine:
             return eigvals(stack)
 
         monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        # Real Hamiltonian A, and only the rows at angles k = 0..6 of 13 are
+        # solved; the pair is a conjugate pair, so the second direction is
+        # the conjugate of the first and its row at k = 0 is a mirror too.
         sweep = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=13))
-        assert sum(sizes) == 2 * 13 and max(sizes) <= 5
+        assert sum(sizes) == 7 + 6 and max(sizes) <= 5
         sizes.clear()
         random_cloud(A, SweepConfig(pattern=pattern, epsilon=sweep.epsilon, angles=13), 3, 0)
-        assert sum(sizes) == 3 * 13 and max(sizes) <= 5
+        assert sum(sizes) == 3 * 7 and max(sizes) <= 5
 
     def test_linalg_error_in_one_slice_is_nonconvergence(self, engine_workers, monkeypatch):
         A, pattern, _ = generate("pentadiag_toeplitz", 6, seed=4)
@@ -419,6 +438,102 @@ class TestBatchedEngine:
                 slope = np.vdot(sys.lefts[:, i], D @ sys.rights[:, i]) / sys.overlaps[i]
                 expected.append(sys.eigenvalues[i] + grid * slope)
         assert np.array_equal(cloud.points, np.concatenate(expected))
+
+
+def _mirror_cases():
+    """The three families, on the full and the structured pattern, with real
+    and complex A: the real part of the family matrix (real Toeplitz, real
+    Hamiltonian) and that plus 0.25i I (still Hamiltonian, no longer real)."""
+    for family, n in zip(FAMILIES, (5, 6, 6)):
+        A, pattern, _ = generate(family, n, seed=4)
+        for kind, M in (("real", A.real), ("complex", A.real + 0.25j * np.eye(n))):
+            for S in (full(n), replace(pattern, real=kind == "real")):
+                yield pytest.param(M.astype(complex), S, id=f"{family}-{kind}-{S.kind}")
+
+
+def _image(M, s):
+    """psi(M) with an explicit J: conj(M) for s = 1, J M^H J for s = -1."""
+    if s > 0:
+        return M.conj()
+    J = symplectic_j(M.shape[0] // 2)
+    return J @ M.conj().T @ J
+
+
+class TestRowMirror:
+    """Real and Hamiltonian input solve each mirror pair of rows once: a
+    row whose matrix is an exact image psi(M_q) of a solved row's takes
+    that row's spectrum mapped by z -> s * conj(z)."""
+
+    @staticmethod
+    def _tables(A, sys, S, K):
+        """Both clouds with the engine's row tables: (cloud, directions, terms, scales)."""
+        sweep = sweep_wilkinson(A, sys, SweepConfig(pattern=S, angles=K))
+        base = random_cloud(A, SweepConfig(pattern=S, epsilon=sweep.epsilon, angles=K), 3, 5)
+        circle = _circle(sweep.epsilon, K)
+        for cloud, directions in (
+            (sweep, [wilkinson(sys, i, S) for i in sweep.meta["pair"]]),
+            (base, _random_directions(S, 3, 5)),
+        ):
+            terms, k = approx._layout(cloud.kind, S, cloud.meta)[0]
+            yield cloud, np.array(directions), terms, circle[k]
+
+    @pytest.mark.parametrize("K", [8, 9])
+    @pytest.mark.parametrize("A,S", _mirror_cases())
+    def test_every_row_is_the_spectrum_of_its_own_matrix(self, engine_workers, monkeypatch, A, S, K):
+        from scipy.optimize import linear_sum_assignment
+
+        n = A.shape[0]
+        monkeypatch.setattr(numkernel, "STACK_ENTRIES", 4 * n * n)
+        sys = eig_pairs(A)
+        solved, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda stack: solved.append(len(stack)) or eigvals(stack))
+        clouds = list(self._tables(A, sys, S, K))
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        u = np.finfo(float).eps / 2
+        for cloud, D, terms, scales in clouds:
+            rows = cloud.points.reshape(-1, n)
+            scale = _fro(A) + np.abs(scales).max() * max(map(_fro, D))
+            source, signs = approx._mirrors(A, D, terms, scales)
+            for p, (t, c) in enumerate(zip(terms, scales)):
+                M = c * D[t] + A  # the engine's rounding: c * D first, then + A
+                # A backward-stable eigensolve returns the exact spectrum of
+                # M + E with ||E||_2 <= p(n) u ||M||_F, so each computed
+                # eigenvalue lies within kappa p(n) u ||M||_F of an exact
+                # one, to first order (kappa = 1 / |y^H x| for unit x, y).
+                # A mirrored row is a solved row's spectrum mapped by an
+                # isometry that maps M_q exactly to M_p, with the same
+                # error.  Two such errors, and p(n) = 10 n, give the bound.
+                w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
+                kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr)).min()
+                tol = 2 * 10 * n * u * _fro(M) * kappa
+                dist = np.abs(rows[p][:, None] - w[None, :])
+                assert dist[linear_sum_assignment(dist)].max() <= tol
+                q = source[p]
+                if q != p:
+                    assert source[q] == q and q < p
+                    assert np.array_equal(_image(M, signs[p]), scales[q] * D[terms[q]] + A)
+                    image = rows[q].conj() if signs[p] > 0 else -rows[q].conj()
+                    assert np.array_equal(rows[p], _sort(image, scale))
+        assert sum(solved) == sum(np.count_nonzero(approx._mirrors(A, D, t, c)[0] == np.arange(len(t)))
+                                  for _, D, t, c in clouds)
+
+    @pytest.mark.parametrize("family,solved", [
+        ("hamiltonian_random", 312), ("tridiag_toeplitz", 312), ("pentadiag_toeplitz", 600)
+    ])
+    def test_solved_row_counts(self, monkeypatch, family, solved):
+        # K = 50 angles and 10 samples: 2 * 50 + 10 * 50 = 600 rows.  Real
+        # or real Hamiltonian A with directions fixed by a symmetry solve
+        # the angles k = 0..25 of each direction, 12 * 26 = 312 rows; the
+        # complex pentadiagonal input has no symmetry and solves all 600.
+        A, pattern, _ = generate(family, 8, seed=0)
+        sys = eig_pairs(A)
+        sizes, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda stack: sizes.append(len(stack)) or eigvals(stack))
+        sweep = sweep_wilkinson(A, sys, SweepConfig(pattern=pattern, angles=50))
+        random_cloud(A, SweepConfig(pattern=pattern, epsilon=sweep.epsilon, angles=50), 10, 0)
+        assert sum(sizes) == solved
 
 
 class TestSubcloudAndGap:

@@ -878,3 +878,32 @@ def test_real_input_failures_stay_typed(tmp_path, capsys, monkeypatch, A, patch,
     capsys.readouterr()
     assert run("analyze", path) == 3
     assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
+def _huge_matrix_file(tmp_path, A):
+    path = tmp_path / "big.json"
+    io.save_matrix(str(path), A)
+    return path
+
+
+def test_huge_non_member_rejected_without_warning(tmp_path, capsys):
+    # ||A||_F overflows np.linalg.norm near 1e154; membership read inf <= inf.
+    path = _huge_matrix_file(tmp_path, 1e300 * np.arange(1.0, 17.0).reshape(4, 4))
+    doc = json.loads(path.read_text())
+    doc["structure"] = {"kind": "hamiltonian", "n_half": 2, "real": True}
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("analyze", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hamiltonian" in err
+
+
+def test_huge_toeplitz_support_found_without_warning(tmp_path):
+    A = toeplitz_matrix(3, {-1: 3e300, 0: 1e300, 1: 2e300})
+    path = _huge_matrix_file(tmp_path, A)
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("analyze", path, "--structure", "toeplitz", "--json-out", report) == 0
+    assert json.loads(report.read_text())["pattern"]["support"] == [-1, 0, 1]

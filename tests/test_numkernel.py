@@ -312,7 +312,8 @@ class TestRealInput:
         monkeypatch.setattr(oracle, "sigma_min_batch",
                             lambda A, zs: counts.append(len(zs)) or np.zeros(len(zs)))
         eig_pairs(A)
-        oracle.grid_field(A, (-1.0, 1.0, -1.0, 1.0), (5, 8))
+        # re_min != -re_max: the real Hamiltonian A halves only the rows.
+        oracle.grid_field(A, (-1.0, 1.5, -1.0, 1.0), (5, 8))
         assert dtypes == [np.dtype(float if real else complex)]
         assert counts == [5 * (4 if real else 8)]
         for flag in ("toeplitz", "hamiltonian"):

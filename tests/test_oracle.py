@@ -19,6 +19,7 @@ from pseudospec.errors import EmptyLevelSet, OutOfBounds
 from pseudospec.families import FAMILIES, generate
 from pseudospec.numkernel import sigma_min_batch
 from pseudospec.oracle import default_window
+from pseudospec.sensitivity import kappas
 from references import all_ones_abscissa
 
 
@@ -62,10 +63,37 @@ class TestGridField:
     def test_default_window_contains_spectrum(self):
         A, _, _ = generate("tridiag_toeplitz", 5, seed=0)
         sys = eig_pairs(A)
-        re_min, re_max, im_min, im_max = default_window(sys, 0.05)
+        re_min, re_max, im_min, im_max = default_window(sys, 0.05, A)
         w = sys.eigenvalues
         assert re_min < w.real.min() and re_max > w.real.max()
         assert im_min < w.imag.min() and im_max > w.imag.max()
+
+
+def _padded_box(sys, eps):
+    """The spectrum's bounding box padded by 2 * eps * max kappa (at least 1e-6)."""
+    w = sys.eigenvalues
+    pad = max(2.0 * eps * max(kappas(sys, full(sys.dim))), 1e-6)
+    return (w.real.min() - pad, w.real.max() + pad, w.imag.min() - pad, w.imag.max() + pad)
+
+
+@pytest.mark.parametrize("family,n", [
+    ("hamiltonian_random", 8), ("hamiltonian_random", 10), ("tridiag_toeplitz", 6),
+    ("pentadiag_toeplitz", 6),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shift", [0.0, 1e-3j], ids=["as-generated", "plus-i-delta"])
+def test_default_window_is_closed_under_the_symmetries(family, n, seed, shift):
+    # A + i delta I stays Hamiltonian but is no longer real.
+    A = generate(family, n, seed=seed)[0] + shift * np.eye(n)
+    sys = eig_pairs(A)
+    box = _padded_box(sys, 0.05)
+    window = default_window(sys, 0.05, A)
+    if family == "hamiltonian_random":
+        assert window[0] == -window[1]
+        assert window[0] <= box[0] and box[1] <= window[1]
+        assert window[2:] == box[2:]
+    else:
+        assert window == box
 
 
 class TestCellCenters:
@@ -89,13 +117,19 @@ class TestCellCenters:
         assume(hi - lo > 8 * count * ulp)  # cells wider than the rounding
         centers = oracle._centers(lo, hi, count)
         assert np.all(np.diff(centers) > 0) and lo < centers[0] and centers[-1] < hi
-        textbook = lo + (hi - lo) / count * (np.arange(count) + 0.5)
+        # The ratio first: in the subnormal range, (hi - lo) / count rounds
+        # to a whole subnormal ulp, and times j + 0.5 that error grows to
+        # several ulps of the reference itself.
+        textbook = lo + (hi - lo) * ((np.arange(count) + 0.5) / count)
         assert np.all(np.abs(centers - textbook) <= 4 * ulp)
 
 
 class TestHalfGrid:
     """For real A and a window symmetric about the real axis, grid_field
-    evaluates the lower half of the rows and mirrors them."""
+    evaluates the lower half of the rows and mirrors them; for Hamiltonian
+    A and a window symmetric about the imaginary axis, the left half of the
+    columns.  The Hamiltonian inputs below take a window with re_min !=
+    -re_max where only the rows are meant to be halved."""
 
     @staticmethod
     def _recorded(monkeypatch, A, bounds, resolution):
@@ -119,31 +153,56 @@ class TestHalfGrid:
     def test_real_matrix_symmetric_window_evaluates_half(self, monkeypatch, n_im, signed_zero):
         A, _, _ = generate("hamiltonian_random", 8, seed=0)
         A = self._signed_zero_imag(A) if signed_zero else A
-        field, seen = self._recorded(monkeypatch, A, (-2.0, 2.0, -1.5, 1.5), (5, n_im))
+        field, seen = self._recorded(monkeypatch, A, (-2.0, 2.5, -1.5, 1.5), (5, n_im))
         assert seen == [5 * -(-n_im // 2)]
         assert field.values.shape == (5, n_im)
         assert np.array_equal(field.values[:, ::-1], field.values)
+
+    @pytest.mark.parametrize("n_re", [7, 8])
+    @pytest.mark.parametrize("n_im", [5, 6])
+    def test_real_hamiltonian_matrix_doubly_symmetric_window_evaluates_a_quarter(
+        self, monkeypatch, n_re, n_im
+    ):
+        A, _, _ = generate("hamiltonian_random", 8, seed=0)
+        field, seen = self._recorded(monkeypatch, A, (-2.0, 2.0, -1.5, 1.5), (n_re, n_im))
+        assert seen == [-(-n_re // 2) * -(-n_im // 2)]
+        assert field.values.shape == (n_re, n_im)
+        assert np.array_equal(field.values[:, ::-1], field.values)
+        assert np.array_equal(field.values[::-1], field.values)
+
+    @pytest.mark.parametrize("n_re", [7, 8])
+    def test_complex_hamiltonian_matrix_evaluates_half_the_columns(self, monkeypatch, n_re):
+        # A + i delta I is Hamiltonian (J (i delta I)^H J = i delta I) but not real.
+        A, _, _ = generate("hamiltonian_random", 8, seed=0)
+        A = A + 1e-3j * np.eye(8)
+        field, seen = self._recorded(monkeypatch, A, (-2.0, 2.0, -1.5, 1.5), (n_re, 6))
+        assert seen == [-(-n_re // 2) * 6]
+        assert np.array_equal(field.values[::-1], field.values)
 
     @pytest.mark.parametrize("case", ["complex", "asymmetric", "imag-minus-zero-asymmetric"])
     @pytest.mark.parametrize("n_im", [7, 8])
     def test_every_point_evaluated_otherwise(self, monkeypatch, case, n_im):
         A, _, _ = generate("hamiltonian_random", 8, seed=0)
-        bounds = (-2.0, 2.0, -1.5, 1.5)
+        bounds = (-2.0, 2.5, -1.5, 1.5)
         if case == "complex":
             A = A + 1e-3j * np.eye(8)
         elif case == "asymmetric":
-            bounds = (-2.0, 2.0, -1.5, 1.25)
+            bounds = (-2.0, 2.5, -1.5, 1.25)
         else:
-            A, bounds = self._signed_zero_imag(A), (-2.0, 2.0, -1.25, 1.5)
+            A, bounds = self._signed_zero_imag(A), (-2.0, 2.5, -1.25, 1.5)
         _, seen = self._recorded(monkeypatch, A, bounds, (5, n_im))
         assert seen == [5 * n_im]
 
     @pytest.mark.parametrize("family,n", [
         ("hamiltonian_random", 8), ("pentadiag_toeplitz", 5), ("tridiag_toeplitz", 6)
     ])
-    @pytest.mark.parametrize("bounds", [(-3.0, 3.0, -2.0, 2.0), (-3.0, 3.0, -2.0, 1.5)])
+    @pytest.mark.parametrize("bounds", [
+        (-3.0, 3.0, -2.0, 2.0), (-3.0, 3.0, -2.0, 1.5), (-3.0, 3.5, -2.0, 2.0)
+    ])
     @pytest.mark.parametrize("resolution", [(6, 9), (5, 10)])
     def test_every_cell_is_the_svd_at_its_center(self, family, n, bounds, resolution):
+        # The first window is doubly symmetric: a quarter of the Hamiltonian
+        # grid is evaluated, and half of the tridiagonal one.
         A, _, _ = generate(family, n, seed=4)
         field = grid_field(A, bounds, resolution)
         u = np.finfo(float).eps / 2
@@ -203,7 +262,7 @@ class TestAbscissaGrid:
         rng = np.random.default_rng(33)
         A = rng.standard_normal((4, 4))
         sys = eig_pairs(A)
-        field = grid_field(A, default_window(sys, 0.5), (150, 150))
+        field = grid_field(A, default_window(sys, 0.5, A), (150, 150))
         vals = [abscissa_grid(field, e)[0] for e in (0.05, 0.1, 0.2, 0.4)]
         assert vals == sorted(vals)
 
@@ -212,7 +271,7 @@ class TestAbscissaGrid:
         sys = eig_pairs(A)
         eps = 0.1
         lb = all_ones_abscissa(A, eps, full(4))
-        field = grid_field(A, default_window(sys, eps), (300, 300))
+        field = grid_field(A, default_window(sys, eps, A), (300, 300))
         value, unc = abscissa_grid(field, eps)
         assert lb <= value + unc + 1e-12
 
