@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
 
 from . import numkernel
 from .errors import BadParams, DegenerateSpectrum
@@ -184,8 +183,8 @@ def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.
     slices run by ``numkernel._stacked``; every other row takes its source
     row's spectrum mapped by z -> s * conj(z).  Each spectrum is sorted by
     the order rule of ``eig_pairs``, on the scale ||A||_F + max |scales| *
-    max ||D||_F that bounds every row's Frobenius norm (nrm2, which neither
-    overflows nor underflows), and the points are returned flattened in
+    max ||D||_F that bounds every row's Frobenius norm (each from
+    ``numkernel._frobenius``), and the points are returned flattened in
     row order.
     """
     A = np.asarray(A, dtype=complex)
@@ -207,7 +206,7 @@ def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.
     numkernel._stacked(work, len(solve), A.shape[0])
     images = spectra[source[mirrored]].conj()
     spectra[mirrored] = np.where(signs[mirrored, None] < 0, -images, images)
-    norm_a, *norms_d = (scipy.linalg.norm(M.ravel()) for M in (A, *D))
+    norm_a, *norms_d = map(numkernel._frobenius, (A, *D))
     order = numkernel._spectral_order(spectra, norm_a + np.abs(scales).max() * max(norms_d))
     return np.take_along_axis(spectra, order, axis=1).ravel()
 
@@ -268,7 +267,8 @@ def first_order_trajectories(
     For every eigenvalue, lambda_i(eps) ~ lambda_i + eps * (y^H E x)/(y^H x)
     along the given eps grid; for structured patterns the projected direction
     E|_S^ is traced as well.  angle_index tags the variant: 0 for E itself,
-    1 for the projection.  DimensionMismatch unless E and sys fit S.
+    1 for the projection.  DimensionMismatch unless E and sys fit S, and
+    ValueError when a point of the grid overflows.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.size == 0 or not np.all(np.isfinite(eps_grid) & (eps_grid >= 0)):
@@ -280,7 +280,10 @@ def first_order_trajectories(
     directions = [E, normalized_projection(E, S)] if variant.any() else [E]
     _check_overlaps(sys, range(sys.dim))
     slopes = [np.vdot(sys.lefts[:, j], directions[v] @ sys.rights[:, j]) for v, j in zip(variant, i)]
-    points = sys.eigenvalues[i, None] + eps_grid * (np.array(slopes) / sys.overlaps[i])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = sys.eigenvalues[i, None] + eps_grid * (np.array(slopes) / sys.overlaps[i])[:, None]
+    if not np.isfinite(points).all():
+        raise ValueError(f"eps grid up to {eps_grid.max():.6e} sends trajectory points past the float range")
     return PointCloud(points.ravel(), float(eps_grid.max()), S, TRAJECTORY, meta)
 
 

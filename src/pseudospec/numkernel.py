@@ -112,14 +112,29 @@ def _is_real(A) -> bool:
     return not np.imag(A).any()
 
 
+def _exponent(parts: np.ndarray) -> int:
+    """The one scaling rule: e with 2^e just above the largest |part| of
+    ``parts``, the Re and Im parts of an array M (e = 0 for M = 0)."""
+    return int(np.frexp(np.abs(parts).max())[1])
+
+
 def _scaled(A: np.ndarray):
-    """``(A, B, e)``: A validated, B = A / 2^e and e, 2^e the power of two
-    just above A's largest |Re| or |Im| entry.  The division is exact, and
+    """``(A, B, e)``: A validated, B = A / 2^e and e of :func:`_exponent`.
     B's largest |Re| or |Im| entry lies in [1/2, 1): no norm of B can
     overflow, and ||B||_F >= 1/2 unless A = 0 (then B = 0 and e = 0)."""
     A = _validate_square(A)
-    e = int(np.frexp(np.abs(A.view(float)).max())[1])
+    e = _exponent(A.view(float))
     return A, np.ldexp(A.view(float), -e).view(complex), e
+
+
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F: numpy's norm of M / 2^e (:func:`_exponent`) times 2^e.  Bit for
+    bit numpy's norm of M wherever that neither overflows nor underflows; else
+    it loses no tiny entry, and is inf, without a warning, only if ||M||_F is."""
+    parts = np.ascontiguousarray(M, dtype=complex).view(float)
+    e = _exponent(parts)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(complex)), e)
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, VanishingOverlap
-from .numkernel import Eigensystem
+from .numkernel import Eigensystem, _exponent
 from .structures import (
     FULL,
     StructurePattern,
@@ -78,7 +78,8 @@ def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> np.ndarray:
 
 def _closest_pair(w: np.ndarray, kappa: np.ndarray):
     """Minimize |w_i - w_j| / (kappa_i + kappa_j) over pairs i < j with
-    positive kappa; returns ``(epsilon, (i, j))``."""
+    positive kappa, on w / 2^e (``numkernel._exponent``) so that no difference
+    overflows; returns ``(epsilon, (i, j))``, epsilon scaled back by 2^e."""
     n = w.shape[0]
     if n < 2:
         raise DegenerateSpectrum("need at least two eigenvalues")
@@ -92,6 +93,9 @@ def _closest_pair(w: np.ndarray, kappa: np.ndarray):
     if active.size < 2:
         raise DegenerateSpectrum("fewer than two eigenvalues with positive kappa")
 
+    parts = np.ascontiguousarray(w, dtype=complex).view(float)
+    e = _exponent(parts)
+    w = np.ldexp(parts, -e).view(complex)
     # pairs (i, j), i < j, in lexicographic order
     i, j = (active[t] for t in np.triu_indices(active.size, k=1))
     d = w[i] - w[j]
@@ -103,7 +107,7 @@ def _closest_pair(w: np.ndarray, kappa: np.ndarray):
     for p in np.flatnonzero(values < earlier):
         if values[p] < best * (1.0 - PAIR_TIE_RTOL):
             best, best_pair = values[p], (int(i[p]), int(j[p]))
-    return float(best), best_pair
+    return float(np.ldexp(best, e)), best_pair
 
 
 def coalescence_estimate(sys: Eigensystem, S: StructurePattern):

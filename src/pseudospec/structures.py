@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, ZeroProjection
-from .numkernel import Eigensystem, _column_dots, _is_real, _unit_phases
+from .numkernel import Eigensystem, _column_dots, _frobenius, _is_real, _unit_phases
 
 MEMBERSHIP_RTOL = 1e-12
 NORM_RTOL = 1e-14
@@ -131,31 +131,13 @@ def pattern_from_dict(d, dim: int) -> StructurePattern:
     return S
 
 
-def _frobenius(M: np.ndarray) -> float:
-    """||M||_F: ``np.linalg.norm(M)`` wherever that is finite, bit for bit;
-    where it overflows, the norm of M / 2^e times 2^e, 2^e just above M's
-    largest |Re| or |Im| entry (the scaling of ``numkernel._scaled``), which
-    overflows only when ||M||_F itself does."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(M)
-        if norm < np.inf:
-            return norm
-        parts = np.ascontiguousarray(M, dtype=complex).view(float)
-        e = int(np.frexp(np.abs(parts).max())[1])
-        return np.ldexp(np.linalg.norm(np.ldexp(parts, -e)), e)
-
-
 def toeplitz_support_of(A: np.ndarray) -> frozenset:
     """Offsets of the diagonals of A holding an entry above
     ``MEMBERSHIP_RTOL * ||A||_F``."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     thresh = MEMBERSHIP_RTOL * max(_frobenius(A), 1e-300)
-    return frozenset(
-        k
-        for k in range(-(n - 1), n)
-        if np.abs(np.diagonal(A, k)).max() > thresh
-    )
+    return frozenset(k for k in range(1 - n, n) if np.abs(np.diagonal(A, k)).max() > thresh)
 
 
 def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:
@@ -171,21 +153,18 @@ def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:
     return A
 
 
-def _j(X: np.ndarray, n_half: int) -> np.ndarray:
-    """J X = [X_lower; -X_upper] for J = [[0, I], [-I, 0]], by moves and
-    negations only, so nothing rounds; X J = -(J X^T)^T, as J^T = -J."""
-    return np.concatenate([X[n_half:], -X[:n_half]])
+def _j(X: np.ndarray) -> np.ndarray:
+    """The one J rule: J X = [X_lower; -X_upper] along the second-last axis,
+    J = [[0, I], [-I, 0]] as long as that axis, by moves and negations only,
+    so nothing rounds; X J = -(J X^T)^T, as J^T = -J."""
+    h = X.shape[-2] // 2
+    return np.concatenate([X[..., h:, :], -X[..., :h, :]], axis=-2)
 
 
 def _hamiltonian_image(M: np.ndarray) -> np.ndarray:
-    """J M^H J on the last two axes of M: [[-D^H, B^H], [C^H, -A^H]] for the
-    blocks [[A, B], [C, D]], by moves and negations only, so nothing rounds."""
-    h = M.shape[-1] // 2
-    H = np.conj(np.swapaxes(M, -1, -2))
-    out = np.empty(H.shape, dtype=H.dtype)
-    out[..., :h, :h], out[..., :h, h:] = -H[..., h:, h:], H[..., h:, :h]
-    out[..., h:, :h], out[..., h:, h:] = H[..., :h, h:], -H[..., :h, :h]
-    return out
+    """J M^H J on the last two axes of M: -J (J conj(M))^T by :func:`_j`,
+    so moves and negations only."""
+    return -_j(np.swapaxes(_j(np.conj(M)), -1, -2))
 
 
 def symmetries(A: np.ndarray) -> tuple:
@@ -255,7 +234,7 @@ def _outer_gram(U1, V1, U2, V2, S: StructurePattern) -> np.ndarray:
     the complex span of S (``S.real`` is not read)."""
     if S.kind == HAMILTONIAN:
         # P is orthogonal for Re<.,.>, so this is Re <M1, (M2 + J M2^H J) / 2>.
-        JV1, JV2 = _j(V1, S.n_half), _j(V2, S.n_half)
+        JV1, JV2 = _j(V1), _j(V2)
         g = (_column_dots(U1, U2) * _column_dots(V2, V1) + _column_dots(U1, JV2) * _column_dots(U2, JV1)) / 2
     elif S.kind == FULL:
         g = _column_dots(U1, U2) * _column_dots(V2, V1)
@@ -297,11 +276,10 @@ def hamiltonian_phase_normalize(sys: Eigensystem) -> Eigensystem:
     The rotation multiplies y by a unimodular factor, which preserves
     ``||y|| = 1`` and ``|y^H x|``.  Pairs with y^H J x = 0 are left unchanged.
     """
-    n_half, odd = divmod(sys.rights.shape[0], 2)
-    if odd:
+    if sys.rights.shape[0] % 2:
         raise DimensionMismatch("Hamiltonian eigenvectors need an even length")
     # y -> e^{i arg(c)} y sends c = y^H J x to |c| (real, nonnegative).
-    c = _column_dots(sys.lefts, _j(sys.rights, n_half))
+    c = _column_dots(sys.lefts, _j(sys.rights))
     return replace(sys, lefts=sys.lefts * _unit_phases(c))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,14 @@ class TestTrajectories:
         sys = eig_pairs(np.diag([0.0, 2.0]))
         with pytest.raises(ValueError):
             first_order_trajectories(sys, np.ones((2, 2)) / 2, grid, full(2))
+
+    def test_overflowing_grid_rejected_without_warning(self):
+        # A finite grid whose points overflow: slope 4 sends 1.7e308 past the range.
+        sys = eig_pairs(np.diag([0.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^eps grid up to 1.7"):
+                first_order_trajectories(sys, 4 * np.eye(2), [0.0, 1.7e308], full(2))
 
     def test_matches_true_eigenvalue_motion(self):
         rng = np.random.default_rng(21)

@@ -358,6 +358,19 @@ def test_bad_trajectory_grid_exit_2(matrix_file, tmp_path, capsys, jordan, eps_m
     assert not out.exists()
 
 
+def test_overflowing_trajectory_exit_2(tmp_path, capsys):
+    # A finite --eps-max whose points overflow: the reader rejects inf rows.
+    path, out = tmp_path / "p.json", tmp_path / "traj.csv"
+    assert run("generate", "--family", "pentadiag_toeplitz", "--n", "8",
+               "--seed", "1", "--out", path) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("trajectory", path, "--eps-max", "1.7e308", "--steps", "3", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: eps grid up to 1.7")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pair", ["0,99", "-1,0", "1,1"])
 def test_bad_pair_exit_2(matrix_file, tmp_path, capsys, pair):
     assert run("approx", matrix_file, f"--pair={pair}", "--out", tmp_path / "c.csv") == 2
@@ -880,15 +893,20 @@ def test_real_input_failures_stay_typed(tmp_path, capsys, monkeypatch, A, patch,
     assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
-def _huge_matrix_file(tmp_path, A):
+def _saved_matrix(tmp_path, A):
     path = tmp_path / "big.json"
     io.save_matrix(str(path), A)
     return path
 
 
-def test_huge_non_member_rejected_without_warning(tmp_path, capsys):
-    # ||A||_F overflows np.linalg.norm near 1e154; membership read inf <= inf.
-    path = _huge_matrix_file(tmp_path, 1e300 * np.arange(1.0, 17.0).reshape(4, 4))
+# np.linalg.norm overflows near 1e154 (membership read inf <= inf) and loses
+# entries below about 1e-154 (it read ||A||_F as 0); the scaled norm does neither.
+@pytest.mark.parametrize("A", [
+    1e300 * np.arange(1.0, 17.0).reshape(4, 4),
+    1e-170 * np.random.default_rng(1).standard_normal((4, 4)),
+], ids=["huge", "tiny"])
+def test_extreme_non_member_rejected_without_warning(tmp_path, capsys, A):
+    path = _saved_matrix(tmp_path, A)
     doc = json.loads(path.read_text())
     doc["structure"] = {"kind": "hamiltonian", "n_half": 2, "real": True}
     path.write_text(json.dumps(doc))
@@ -899,11 +917,31 @@ def test_huge_non_member_rejected_without_warning(tmp_path, capsys):
     assert err.startswith("error: ") and "hamiltonian" in err
 
 
-def test_huge_toeplitz_support_found_without_warning(tmp_path):
-    A = toeplitz_matrix(3, {-1: 3e300, 0: 1e300, 1: 2e300})
-    path = _huge_matrix_file(tmp_path, A)
+# The tiny matrix has a stray 1e-290 at (0, 4): far below 1e-12 ||A||_F.
+@pytest.mark.parametrize("scale,stray", [(1e300, 0.0), (1e-170, 1e-290)], ids=["huge", "tiny"])
+def test_extreme_toeplitz_support_found_without_warning(tmp_path, scale, stray):
+    A = toeplitz_matrix(5, {-1: 3 * scale, 0: scale, 1: 2 * scale})
+    A[0, 4] = stray
+    path = _saved_matrix(tmp_path, A)
     report = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("analyze", path, "--structure", "toeplitz", "--json-out", report) == 0
     assert json.loads(report.read_text())["pattern"]["support"] == [-1, 0, 1]
+
+
+def test_huge_spectrum_pair_search_without_warning(tmp_path):
+    # Eigenvalues near +-1.47e308i: their difference overflowed the pair search.
+    A = generate("hamiltonian_random", 4, seed=0)[0]
+    factor = 1.5e308 / np.abs(A).max()
+    path = _saved_matrix(tmp_path, A * factor)
+    reports = [tmp_path / "big-report.json", tmp_path / "report.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("analyze", path, "--structure", "full", "--json-out", reports[0]) == 0
+    io.save_matrix(str(path), A)
+    assert run("analyze", path, "--structure", "full", "--json-out", reports[1]) == 0
+    big, base = (json.loads(r.read_text()) for r in reports)
+    assert big["pair"] == base["pair"]
+    assert 0.0 < big["epsilon"] < np.inf
+    np.testing.assert_allclose(big["epsilon"], factor * base["epsilon"], rtol=1e-12)

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,39 @@ class TestEigPairs:
                 np.testing.assert_allclose(
                     kappas(scaled, pattern), kappas(base, pattern), rtol=1e-12
                 )
+
+
+class TestFrobenius:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-150.0, 150.0),
+    )
+    def test_numpys_norm_and_within_4u_at_the_extremes(self, rows, cols, seed, exponent):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        X = M * 10.0**exponent
+        assert numkernel._frobenius(X).tobytes() == np.linalg.norm(X).tobytes()
+        # np.linalg.norm reads 0 at 1e-300 and overflows at 1e300.
+        u = Fraction(1, 2**53)
+        for scale in (1e-300, 1e300):
+            X = M * scale
+            norm = numkernel._frobenius(X)
+            assert np.isfinite(norm) and norm > 0.0
+            # |norm - ||X||_F| <= 4u ||X||_F, squared so that it stays rational
+            exact_sq = sum(Fraction(x) ** 2 for x in X.view(float).ravel().tolist())
+            assert (1 - 4 * u) ** 2 * exact_sq <= Fraction(float(norm)) ** 2 <= (1 + 4 * u) ** 2 * exact_sq
+
+    def test_inf_without_warning_only_where_the_norm_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numkernel._frobenius(np.full((4, 4), 1.5e308)) == np.inf
+            lone = np.zeros((4, 4), dtype=complex)
+            lone[1, 2] = -1.7e308j
+            assert numkernel._frobenius(lone) == 1.7e308
+            assert numkernel._frobenius(np.zeros((3, 3))) == 0.0
 
 
 def _real_cases():

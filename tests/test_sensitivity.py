@@ -377,8 +377,22 @@ def test_closest_pair_matches_double_loop():
     for w, kappa in _near_tie_spectra():
         if np.count_nonzero(kappa > 0) < 2:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert _closest_pair(w, kappa) == _closest_pair_loop(w, kappa)
+        for scale in (1.0, 1e100, 1e-100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert _closest_pair(w * scale, kappa) == _closest_pair_loop(w * scale, kappa)
         checked += 1
     assert checked > 150
+
+
+def test_closest_pair_of_a_huge_spectrum():
+    # Differences of eigenvalues near +-1.47e308i overflow unscaled; the
+    # value is that of the spectrum scaled down by 2^10, scaled back.
+    w = np.array([-1.37e307, -5e292 - 1.47e308j, -5e292 + 1.47e308j, 1.37e307])
+    kappa = np.array([5.37, 1.2, 1.2, 5.37])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps, pair = _closest_pair(w, kappa)
+    low, low_pair = _closest_pair(np.ldexp(w.view(float), -10).view(complex), kappa)
+    assert (eps, pair) == (np.ldexp(low, 10), low_pair)
+    assert _closest_pair_loop(np.ldexp(w.view(float), -10).view(complex), kappa) == (low, low_pair)

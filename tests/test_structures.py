@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,13 @@ from pseudospec import (
 )
 from pseudospec.errors import BadParams, DimensionMismatch, ZeroProjection
 from pseudospec.numkernel import _column_dots, _unit_phases
-from pseudospec.structures import _project_banded, pattern_from_dict, pattern_to_dict
+from pseudospec.structures import (
+    _hamiltonian_image,
+    _j,
+    _project_banded,
+    pattern_from_dict,
+    pattern_to_dict,
+)
 from references import symplectic_j
 
 RNG = np.random.default_rng(2024)
@@ -203,12 +210,40 @@ class TestJRule:
         assert out.lefts.tobytes() == dense.tobytes()
         assert out.rights is rights
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        h=st.integers(1, 10),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_equal_dense_products(self, k, h, m, seed):
+        # Nonzero complex entries: a dense product sums -1 * 0.0 and 0 * x
+        # to +0.0 where the moves keep -0.0, so zeros would only differ in sign.
+        M = self._matrix(seed, (k, 2 * h, 2 * h), False, 0.0)
+        X = self._matrix(seed + 1, (k, 2 * h, m), False, 0.0)
+        J = symplectic_j(h)
+        image, jx = _hamiltonian_image(M), _j(X)
+        assert image.shape == M.shape and jx.shape == X.shape
+        for s in range(k):
+            assert image[s].tobytes() == (J @ M[s].conj().T @ J).tobytes()
+            assert jx[s].tobytes() == (J @ X[s]).tobytes()
+
 
 class TestNormalizedProjection:
     def test_member_rescaled(self):
         S = toeplitz(3, {-1, 0, 1})
         B = 2.0 * random_member(S, 5)
         np.testing.assert_allclose(normalized_projection(B, S), B / 2.0, atol=1e-13)
+
+    def test_tiny_input_keeps_its_projection(self):
+        # Entries of 1e-170 square to 0 in np.linalg.norm, which read the
+        # projection as zero.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = normalized_projection(np.ones((4, 4)) * 1e-170, toeplitz(4, {0}))
+        np.testing.assert_allclose(P, np.eye(4) / 2, rtol=1e-15, atol=0)
+        assert is_member(P, toeplitz(4, {0}))
 
     def test_zero_projection_raises(self):
         with pytest.raises(ZeroProjection):
