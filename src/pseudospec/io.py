@@ -9,6 +9,8 @@ through a temporary file followed by an atomic rename.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -92,18 +94,26 @@ def save_matrix(path: str, A, pattern=None, generator=None) -> None:
     atomic_write(path, matrix_to_json(A, pattern, generator))
 
 
-def load_matrix(path: str):
-    """Load a matrix file; returns ``(A, pattern_or_None)``.
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause Python's cyclic garbage collector for the block, and resume it
+    only if it ran before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
-    The document must be an object with an integer ``n`` and a list of
-    n * n finite ``[re, im]`` entries; declared structure metadata is
-    validated against the entries on load.
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
+
+def _matrix_doc(text: str):
+    """``(doc, parts)``: the matrix file ``text`` parsed, its ``entries``
+    taken out of ``doc`` as an (n * n, 2) float array, or BadParams."""
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise BadParams("a matrix file must hold a JSON object")
-    n, entries = doc.get("n"), doc.get("entries")
+    n, entries = doc.get("n"), doc.pop("entries", None)
     if type(n) is not int or not isinstance(entries, list):
         raise BadParams("a matrix file needs an integer 'n' and a list of 'entries'")
     if n < 0:
@@ -116,8 +126,30 @@ def load_matrix(path: str):
         raise BadParams(f"matrix entries must be [re, im] number pairs ({exc})") from exc
     if parts.shape[0] != n * n:
         raise BadParams("matrix entries must be [re, im] number pairs")
+    return doc, parts
+
+
+def load_matrix(path: str):
+    """Load a matrix file; returns ``(A, pattern_or_None)``.
+
+    The document must be an object with an integer ``n`` and a list of
+    n * n finite ``[re, im]`` entries; declared structure metadata is
+    validated against the entries on load.
+
+    json builds one list per entry, n * n of them, all alive until the
+    float array is made.  With the cyclic collector running, they would set
+    off collections that find no cycle and age the program's long-lived
+    objects towards a full collection; so the file is parsed with the
+    collector paused, and reference counting frees the lists before it
+    resumes.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    with _collector_paused():
+        doc, parts = _matrix_doc(text)
     if not np.all(np.isfinite(parts)):
         raise BadParams("matrix entries must be finite")
+    n = doc["n"]
     A = parts.view(complex).reshape(n, n)
     pattern = None
     if "structure" in doc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DefectiveInput, DimensionMismatch, NonConvergence
+from .errors import DefectiveInput, DimensionMismatch, NonConvergence, NumericFailure
 
 TOL_EIG = 1e-10
 GAP_TOL_FACTOR = 1e-8
@@ -112,29 +112,30 @@ def _is_real(A) -> bool:
     return not np.imag(A).any()
 
 
-def _exponent(parts: np.ndarray) -> int:
-    """The one scaling rule: e with 2^e just above the largest |part| of
-    ``parts``, the Re and Im parts of an array M (e = 0 for M = 0)."""
-    return int(np.frexp(np.abs(parts).max())[1])
+def _unit_scaled(M: np.ndarray):
+    """The one scaling rule: ``(B, e)`` with B = M / 2^e as a complex array,
+    2^e just above the largest |Re| or |Im| entry of M (e = 0 for M = 0).
+    Exact unless an entry underflows; B's largest |Re| or |Im| entry lies in
+    [1/2, 1), so no sum or norm of a few of B's entries can overflow."""
+    parts = np.ascontiguousarray(M, dtype=complex).view(float)
+    e = int(np.frexp(np.abs(parts).max())[1])
+    return np.ldexp(parts, -e).view(complex), e
 
 
 def _scaled(A: np.ndarray):
-    """``(A, B, e)``: A validated, B = A / 2^e and e of :func:`_exponent`.
-    B's largest |Re| or |Im| entry lies in [1/2, 1): no norm of B can
-    overflow, and ||B||_F >= 1/2 unless A = 0 (then B = 0 and e = 0)."""
+    """``(A, B, e)``: A validated, and B, e of :func:`_unit_scaled`.
+    ||B||_F >= 1/2 unless A = 0 (then B = 0 and e = 0)."""
     A = _validate_square(A)
-    e = _exponent(A.view(float))
-    return A, np.ldexp(A.view(float), -e).view(complex), e
+    return A, *_unit_scaled(A)
 
 
 def _frobenius(M: np.ndarray) -> float:
-    """||M||_F: numpy's norm of M / 2^e (:func:`_exponent`) times 2^e.  Bit for
+    """||M||_F: numpy's norm of M / 2^e (:func:`_unit_scaled`) times 2^e.  Bit for
     bit numpy's norm of M wherever that neither overflows nor underflows; else
     it loses no tiny entry, and is inf, without a warning, only if ||M||_F is."""
-    parts = np.ascontiguousarray(M, dtype=complex).view(float)
-    e = _exponent(parts)
+    B, e = _unit_scaled(M)
     with np.errstate(over="ignore"):
-        return np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(complex)), e)
+        return np.ldexp(np.linalg.norm(B), e)
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:
@@ -185,8 +186,9 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
     B = A / 2^e of :func:`_scaled`, so no norm can overflow.  All checks run on B;
     eigenvalues are scaled back by 2^e.  Raises DefectiveInput for the zero
     matrix and when the minimal eigenvalue gap falls below
-    ``GAP_TOL_FACTOR * ||A||_F``, and NonConvergence when a right or left
-    residual exceeds ``TOL_EIG * ||A||_F``.
+    ``GAP_TOL_FACTOR * ||A||_F``, NonConvergence when a right or left
+    residual exceeds ``TOL_EIG * ||A||_F``, and NumericFailure when a
+    scaled-back eigenvalue lies beyond the float range.
     """
     A, B, e = _scaled(A)
     B = B.real if _is_real(A) else B
@@ -219,11 +221,11 @@ def eig_pairs(A: np.ndarray) -> Eigensystem:
             f"eigenvector residual {res / norm_b:.3e} * ||A||_F exceeds {TOL_EIG:.0e}"
         )
 
-    return Eigensystem(
-        eigenvalues=np.ldexp(w.view(float), e).view(complex),
-        rights=rights,
-        lefts=lefts,
-    )
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w.view(float), e).view(complex)
+    if not np.all(np.isfinite(w)):
+        raise NumericFailure("an eigenvalue has a part beyond the float range (above 1.8e308)")
+    return Eigensystem(eigenvalues=w, rights=rights, lefts=lefts)
 
 
 def sigma_min_batch(A: np.ndarray, zs: np.ndarray) -> np.ndarray:

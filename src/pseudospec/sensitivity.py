@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, VanishingOverlap
-from .numkernel import Eigensystem, _exponent
+from .numkernel import Eigensystem, _unit_scaled
 from .structures import (
     FULL,
     StructurePattern,
@@ -78,7 +78,7 @@ def wilkinson(sys: Eigensystem, i: int, S: StructurePattern) -> np.ndarray:
 
 def _closest_pair(w: np.ndarray, kappa: np.ndarray):
     """Minimize |w_i - w_j| / (kappa_i + kappa_j) over pairs i < j with
-    positive kappa, on w / 2^e (``numkernel._exponent``) so that no difference
+    positive kappa, on w / 2^e (``numkernel._unit_scaled``) so that no difference
     overflows; returns ``(epsilon, (i, j))``, epsilon scaled back by 2^e."""
     n = w.shape[0]
     if n < 2:
@@ -93,9 +93,7 @@ def _closest_pair(w: np.ndarray, kappa: np.ndarray):
     if active.size < 2:
         raise DegenerateSpectrum("fewer than two eigenvalues with positive kappa")
 
-    parts = np.ascontiguousarray(w, dtype=complex).view(float)
-    e = _exponent(parts)
-    w = np.ldexp(parts, -e).view(complex)
+    w, e = _unit_scaled(w)
     # pairs (i, j), i < j, in lexicographic order
     i, j = (active[t] for t in np.triu_indices(active.size, k=1))
     d = w[i] - w[j]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, ZeroProjection
-from .numkernel import Eigensystem, _column_dots, _frobenius, _is_real, _unit_phases
+from .numkernel import Eigensystem, _column_dots, _frobenius, _is_real, _unit_phases, _unit_scaled
 
 MEMBERSHIP_RTOL = 1e-12
 NORM_RTOL = 1e-14
@@ -133,11 +133,12 @@ def pattern_from_dict(d, dim: int) -> StructurePattern:
 
 def toeplitz_support_of(A: np.ndarray) -> frozenset:
     """Offsets of the diagonals of A holding an entry above
-    ``MEMBERSHIP_RTOL * ||A||_F``."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    thresh = MEMBERSHIP_RTOL * max(_frobenius(A), 1e-300)
-    return frozenset(k for k in range(1 - n, n) if np.abs(np.diagonal(A, k)).max() > thresh)
+    ``MEMBERSHIP_RTOL * ||A||_F``, compared on A / 2^e
+    (``numkernel._unit_scaled``), so neither side overflows."""
+    B, _ = _unit_scaled(A)
+    n = B.shape[0]
+    thresh = MEMBERSHIP_RTOL * _frobenius(B)
+    return frozenset(k for k in range(1 - n, n) if np.abs(np.diagonal(B, k)).max() > thresh)
 
 
 def toeplitz_matrix(n: int, diagonals: dict) -> np.ndarray:
@@ -209,16 +210,22 @@ def project(M: np.ndarray, S: StructurePattern) -> np.ndarray:
     A real pattern first restricts M to its real part.  Toeplitz/Hankel:
     each supported (anti)diagonal is replaced by its arithmetic mean,
     everything else is zeroed.  Hamiltonian: (M + J M^H J) / 2.  Full: the
-    identity.
+    identity.  Means and sums are taken on B = M / 2^e
+    (``numkernel._unit_scaled``), which cannot overflow, and scaled back by
+    2^e: bit for bit the projection of M wherever that neither overflows
+    nor underflows.
     """
     M = _check_dim(M, S)
     if S.real:
         M = M.real.astype(complex)
     if S.kind == FULL:
         return M.copy()
+    B, e = _unit_scaled(M)
     if S.kind in (TOEPLITZ, HANKEL):
-        return _project_banded(M, S.support, antidiagonal=(S.kind == HANKEL))
-    return 0.5 * (M + _hamiltonian_image(M))
+        P = _project_banded(B, S.support, antidiagonal=(S.kind == HANKEL))
+    else:
+        P = 0.5 * (B + _hamiltonian_image(B))
+    return np.ldexp(np.ascontiguousarray(P).view(float), e).view(complex)
 
 
 def _diagonal_sums(U: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
@@ -296,18 +303,20 @@ def _structured(sys: Eigensystem, S: StructurePattern):
 
 
 def is_member(M: np.ndarray, S: StructurePattern) -> bool:
-    """True iff M lies in S to within ``MEMBERSHIP_RTOL * ||M||_F``."""
-    M = _check_dim(M, S)
-    tol = MEMBERSHIP_RTOL * max(_frobenius(M), 1e-300)
-    return bool(_frobenius(M - project(M, S)) <= tol)
+    """True iff M lies in S to within ``MEMBERSHIP_RTOL * ||M||_F``, compared
+    on M / 2^e (``numkernel._unit_scaled``): no side overflows, and a tiny
+    M is held to the same relative tolerance as any other."""
+    B, _ = _unit_scaled(_check_dim(M, S))
+    return bool(_frobenius(B - project(B, S)) <= MEMBERSHIP_RTOL * _frobenius(B))
 
 
 def normalized_projection(M: np.ndarray, S: StructurePattern) -> np.ndarray:
-    """Unit-Frobenius-norm member of S parallel to the projection of M."""
-    M = _check_dim(M, S)
-    P = project(M, S)
+    """Unit-Frobenius-norm member of S parallel to the projection of M,
+    formed from M / 2^e as :func:`is_member` compares."""
+    B, _ = _unit_scaled(_check_dim(M, S))
+    P = project(B, S)
     norm = _frobenius(P)
-    if norm <= NORM_RTOL * max(_frobenius(M), 1e-300):
+    if norm <= NORM_RTOL * _frobenius(B):
         raise ZeroProjection("matrix is numerically orthogonal to the structure")
     return P / norm
 

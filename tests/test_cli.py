@@ -900,11 +900,13 @@ def _saved_matrix(tmp_path, A):
 
 
 # np.linalg.norm overflows near 1e154 (membership read inf <= inf) and loses
-# entries below about 1e-154 (it read ||A||_F as 0); the scaled norm does neither.
+# entries below about 1e-154 (it read ||A||_F as 0); the scaled norm does
+# neither.  A tolerance floored at 1e-300 took any subnormal matrix for a member.
 @pytest.mark.parametrize("A", [
     1e300 * np.arange(1.0, 17.0).reshape(4, 4),
     1e-170 * np.random.default_rng(1).standard_normal((4, 4)),
-], ids=["huge", "tiny"])
+    1e-315 * np.random.default_rng(1).standard_normal((4, 4)),
+], ids=["huge", "tiny", "subnormal"])
 def test_extreme_non_member_rejected_without_warning(tmp_path, capsys, A):
     path = _saved_matrix(tmp_path, A)
     doc = json.loads(path.read_text())
@@ -918,9 +920,15 @@ def test_extreme_non_member_rejected_without_warning(tmp_path, capsys, A):
 
 
 # The tiny matrix has a stray 1e-290 at (0, 4): far below 1e-12 ||A||_F.
-@pytest.mark.parametrize("scale,stray", [(1e300, 0.0), (1e-170, 1e-290)], ids=["huge", "tiny"])
-def test_extreme_toeplitz_support_found_without_warning(tmp_path, scale, stray):
-    A = toeplitz_matrix(5, {-1: 3 * scale, 0: scale, 1: 2 * scale})
+# The last one has ||A||_F above the float maximum, which made the
+# threshold inf and the support empty.
+@pytest.mark.parametrize("diagonals,stray", [
+    ({-1: 3 * 1e300, 0: 1e300, 1: 2 * 1e300}, 0.0),
+    ({-1: 3 * 1e-170, 0: 1e-170, 1: 2 * 1e-170}, 1e-290),
+    ({-1: 5e307, 0: 8e307, 1: 5e307}, 0.0),
+], ids=["huge", "tiny", "norm-overflows"])
+def test_extreme_toeplitz_support_found_without_warning(tmp_path, diagonals, stray):
+    A = toeplitz_matrix(5, diagonals)
     A[0, 4] = stray
     path = _saved_matrix(tmp_path, A)
     report = tmp_path / "report.json"
@@ -945,3 +953,43 @@ def test_huge_spectrum_pair_search_without_warning(tmp_path):
     assert big["pair"] == base["pair"]
     assert 0.0 < big["epsilon"] < np.inf
     np.testing.assert_allclose(big["epsilon"], factor * base["epsilon"], rtol=1e-12)
+
+
+def _huge_declared(kind):
+    """Declared matrices whose projection sums overflowed the float range."""
+    if kind == "toeplitz":
+        A = toeplitz_matrix(5, {-1: 5e307, 0: 8e307, 1: 5e307}).real
+        return A, toeplitz(5, [-1, 0, 1], real=True)
+    A, pattern, _ = generate("hamiltonian_random", 4, seed=0)
+    return A * (1.5e308 / np.abs(A).max()), pattern
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "hamiltonian"])
+def test_huge_declared_structure_loads_without_warning(tmp_path, kind):
+    A, pattern = _huge_declared(kind)
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), A, pattern)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("analyze", path) == 0
+
+
+# Largest eigenvalue about 3.2e308: it was printed as inf after an ldexp overflow.
+@pytest.mark.parametrize("declared", [None, toeplitz(5, [-1, 0, 1], real=True)],
+                         ids=["undeclared", "declared"])
+@pytest.mark.parametrize("command,extra", [
+    ("analyze", ["--structure", "full", "--json-out"]),
+    ("analyze", ["--json-out"]),
+    ("approx", ["--out"]),
+    ("oracle", ["--out"]),
+    ("trajectory", ["--eps-max", "0.1", "--steps", "3", "--out"]),
+], ids=["analyze-full", "analyze-auto", "approx", "oracle", "trajectory"])
+def test_spectrum_beyond_the_float_range_exits_3(tmp_path, capsys, declared, command, extra):
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), toeplitz_matrix(5, {-1: 1e308, 0: 1.5e308, 1: 1e308}).real, declared)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, path, *extra, out) == 3
+    assert "float range" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,8 @@
-"""The bulk writers against per-value ``format`` references, and exact
-round trips through the numpy readers."""
+"""The bulk writers against per-value ``format`` references, exact round
+trips through the numpy readers, and the matrix reader's pause of the
+cyclic collector."""
 
+import gc
 import json
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudospec import GridField, PointCloud, approx, full, io, svg, toeplitz
+from pseudospec import GridField, PointCloud, approx, families, full, io, svg, toeplitz
 from pseudospec.approx import RANDOM_BASELINE, TRAJECTORY, WILKINSON_SWEEP
-from pseudospec.errors import OutOfBounds
+from pseudospec.errors import BadParams, OutOfBounds
 from pseudospec.io import FORMAT_CHUNK_VALUES
 
 EDGE_FLOATS = [
@@ -344,3 +346,73 @@ def test_cloud_longer_than_a_chunk(kind, pattern, meta, row):
     cloud = PointCloud(points, 0.25, pattern, kind, meta)
     text = io.cloud_to_csv(cloud, "sha")
     assert _body(text, "re,im,source_eigen,angle_index,sample_index") == _per_point_rows(cloud)
+
+
+@pytest.fixture
+def hamiltonian_40(tmp_path):
+    """A saved 40 x 40 hamiltonian_random matrix, declared Hamiltonian:
+    1600 entries, so json builds 1600 two-element lists."""
+    path = tmp_path / "h40.json"
+    A, pattern, _ = families.generate("hamiltonian_random", 40, 0)
+    io.save_matrix(str(path), A, pattern)
+    return str(path)
+
+
+def test_load_matrix_runs_no_collection(hamiltonian_40):
+    # With the collector running, the entry lists set off a collection of
+    # generation 0 every 100 allocations here.  A full collection empties
+    # the list free list, whose refill leaves the generation-0 count about
+    # 80 up; so one load refills it first, as any earlier list would in a
+    # running program, and gc.collect(0) then zeroes the count.
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    io.load_matrix(hamiltonian_40)
+    gc.collect(0)
+    gc.set_threshold(100)
+    gc.callbacks.append(count)
+    try:
+        io.load_matrix(hamiltonian_40)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert starts == []
+
+
+def test_load_matrix_reads_the_entries_bit_for_bit(hamiltonian_40, tmp_path):
+    edges = tmp_path / "edges.json"
+    io.save_matrix(str(edges), _complex(list(zip(EDGE_FLOATS[:16], EDGE_FLOATS[3:]))).reshape(4, 4))
+    for path in (hamiltonian_40, str(edges)):
+        A, _ = io.load_matrix(path)
+        with open(path) as fh:
+            parts = np.array(json.load(fh)["entries"], dtype=float)
+        assert A.view(float).ravel().tobytes() == parts.tobytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fault", [None, "entry-count", "non-numeric"])
+def test_load_matrix_leaves_the_collector_as_it_found_it(tmp_path, enabled, fault):
+    path = tmp_path / "m.json"
+    io.save_matrix(str(path), np.eye(2))
+    doc = json.loads(path.read_text())
+    if fault == "entry-count":
+        doc["entries"].pop()
+    elif fault == "non-numeric":
+        doc["entries"][1][0] = "one"
+    path.write_text(json.dumps(doc))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fault is None:
+            io.load_matrix(str(path))
+        else:
+            with pytest.raises(BadParams):
+                io.load_matrix(str(path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

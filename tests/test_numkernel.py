@@ -23,7 +23,7 @@ from pseudospec import (
     sigma_min_batch,
     toeplitz_matrix,
 )
-from pseudospec.errors import DefectiveInput, DimensionMismatch, NonConvergence
+from pseudospec.errors import DefectiveInput, DimensionMismatch, NonConvergence, NumericFailure
 from pseudospec.families import FAMILIES, generate
 from pseudospec.numkernel import _normalized_triples, _sigma_min_bounds
 from references import symplectic_j, tridiag_toeplitz_reference
@@ -189,6 +189,19 @@ class TestEigPairs:
                 np.testing.assert_allclose(
                     kappas(scaled, pattern), kappas(base, pattern), rtol=1e-12
                 )
+
+    @pytest.mark.parametrize("real", [True, False], ids=["dgeev", "zgeev"])
+    def test_spectrum_beyond_the_float_range_raises(self, real):
+        # Eigenvalues 1.5e308 + 2e308 cos(k pi / 6): the largest is about 3.2e308.
+        A = toeplitz_matrix(5, {-1: 1e308, 0: 1.5e308, 1: 1e308})
+        A = A.real if real else A * 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="float range") as info:
+                eig_pairs(A)
+            assert type(info.value) is NumericFailure
+            # Half the matrix has a spectrum inside the range.
+            assert np.all(np.isfinite(eig_pairs(A / 2).eigenvalues))
 
 
 class TestFrobenius:

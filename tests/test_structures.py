@@ -88,6 +88,18 @@ class TestMembership:
         with pytest.raises(DimensionMismatch):
             is_member(np.eye(3), toeplitz(4, {0}))
 
+    def test_one_relative_tolerance_at_every_scale(self):
+        # A tolerance floored at 1e-300 took any subnormal matrix for a member.
+        S = hamiltonian(2, real=True)
+        M = np.random.default_rng(1).standard_normal((4, 4))
+        P = project(M, S)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-315, 1.0, 1e145, 1e300):
+                assert not is_member(M * scale, S)
+            for k in (-1060, 0, 1020):
+                assert is_member(np.ldexp(P.real, k), S)
+
 
 @pytest.mark.parametrize("kind", ["full", "hamiltonian"])
 @pytest.mark.parametrize("support", [frozenset({0}), frozenset()], ids=["offset-0", "empty"])
@@ -112,6 +124,38 @@ class TestProject:
         # main antidiagonal of [[1,2],[3,4]] is {2,3}; corner antidiagonals {1},{4}
         P = project(np.array([[1.0, 2.0], [3.0, 4.0]]), hankel(2, {-1, 0, 1}))
         np.testing.assert_allclose(P, [[1.0, 2.5], [2.5, 4.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        S=st.sampled_from([*ALL_PATTERNS, hankel(5, {-4, 0, 1}, real=True)]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-1000, 1024),
+    )
+    def test_scales_by_powers_of_two_without_warning(self, S, seed, k):
+        # M: entries of modulus in [1e-3, 1) and signed zeros.  The
+        # projection of M * 2^k is that of M times 2^k, at any k that keeps
+        # M * 2^k in the normal range, without overflow; and bit for bit
+        # the unscaled formula wherever that does not overflow.
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((S.dim, 2 * S.dim))
+        parts = np.where(np.abs(parts) < 1e-3, np.copysign(0.0, parts), parts)
+        M = (parts / (2 * np.abs(parts).max())).view(complex)
+        X = np.ldexp(M.view(float), k).view(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = project(X, S)
+            unit = normalized_projection(X, S)
+        assert P.tobytes() == np.ldexp(project(M, S).view(float), k).tobytes()
+        assert unit.tobytes() == normalized_projection(M, S).tobytes()
+        if k <= 1000:
+            Y = X.real.astype(complex) if S.real else X
+            if S.kind == "hamiltonian":
+                formula = 0.5 * (Y + _hamiltonian_image(Y))
+            elif S.kind == "full":
+                formula = Y
+            else:
+                formula = _project_banded(Y, S.support, antidiagonal=S.kind == "hankel")
+            assert P.tobytes() == np.ascontiguousarray(formula).tobytes()
 
     @pytest.mark.parametrize("S", ALL_PATTERNS, ids=str)
     def test_idempotent(self, S):
@@ -279,6 +323,16 @@ def test_toeplitz_support_inference():
     assert toeplitz_support_of(A) == frozenset({-1, 1})
     A[0, 0] = 3.0  # no longer constant but the diagonal is now nonzero
     assert toeplitz_support_of(A) == frozenset({-1, 0, 1})
+
+
+@pytest.mark.parametrize("scale", [1e-315, 5e307])
+def test_toeplitz_support_beyond_the_norm_range(scale):
+    # ||A||_F overflows at 5e307 (the threshold was inf) and is below the
+    # old floor of 1e-300 at 1e-315 (the threshold was above every entry).
+    A = toeplitz_matrix(5, {-1: scale, 0: 1.6 * scale, 1: scale, 3: 0.5 * scale})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert toeplitz_support_of(A) == frozenset({-1, 0, 1, 3})
 
 
 NORM_PATTERNS = [
