@@ -2,10 +2,11 @@
 and the coalescence gap of a sweep.
 
 The Wilkinson sweep perturbs A by e^{i theta_k} * eps * W for the two most
-sensitive eigenvalues' (projected) Wilkinson directions W and a uniform angle
-grid theta_k = 2 pi (k-1) / K, and collects the full spectra.  The random
-baseline does the same with seeded unit-norm rank-one (or structured random)
-perturbations.
+sensitive eigenvalues' (projected) Wilkinson directions W and the uniform
+angle grid theta_k = 2 pi k / K, k = 0 ... K - 1, and collects the full
+spectra.  The random baseline does the same with seeded unit-norm rank-one
+(or structured random) perturbations.  The ``angle_index`` of a sweep or
+baseline point is its k.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.
 
 
 def _unit_circle(eps: float, K: int) -> np.ndarray:
-    """eps * e^{i theta_k} on the uniform grid theta_k = 2 pi k / K,
+    """eps * e^{i theta_k} on the module's angle grid, k = 0 ... K - 1,
     conjugate-symmetric by construction: c_{K-k} = conj(c_k), the points
     with k <= K / 2 evaluated and the rest their conjugates."""
     half = eps * np.exp(1j * (2.0 * np.pi * np.arange(K // 2 + 1) / K))

@@ -2,7 +2,7 @@
 
 Subcommands: generate, analyze, approx, oracle, trajectory.  Exit codes:
 0 success, 3 for a :class:`NumericFailure`, 2 for any other library error,
-OSError or ValueError (bad input).
+OSError or ValueError (bad input) and MemoryError (input too large).
 """
 
 from __future__ import annotations
@@ -115,27 +115,23 @@ def cmd_approx(args) -> int:
         pattern=pattern, epsilon=args.epsilon, angles=args.angles, pair_override=pair
     )
     sys_ = eig_pairs(A)
-    cloud = approx_mod.sweep_wilkinson(A, sys_, cfg)
-    if args.svg:  # checked before any write, so a rejected plot window leaves no file
-        window = oracle._window(oracle.default_window(sys_, cloud.epsilon, A), "plot window")
-    sha = io.matrix_hash(args.matrix)
-    io.save_cloud(args.out, cloud, sha)
-    print(
-        f"wrote {args.out}: {len(cloud)} points, epsilon={cloud.epsilon:.6e}, "
-        f"pair={cloud.meta['pair']}"
-    )
-
-    baseline = None
+    # Every output is built before the first is written, so a failure leaves no file.
+    clouds = [approx_mod.sweep_wilkinson(A, sys_, cfg)]
+    epsilon = clouds[0].epsilon
     if args.baseline:
-        base_cfg = replace(cfg, epsilon=cloud.epsilon)
-        baseline = approx_mod.random_cloud(A, base_cfg, args.baseline, args.seed)
-        base_path = args.out + ".baseline.csv"
-        io.save_cloud(base_path, baseline, sha)
-        print(f"wrote {base_path}: {len(baseline)} points")
-
+        base_cfg = replace(cfg, epsilon=epsilon)
+        clouds.append(approx_mod.random_cloud(A, base_cfg, args.baseline, args.seed))
     if args.svg:
-        clouds = [(c.kind, c.points) for c in (cloud, baseline) if c is not None]
-        io.atomic_write(args.svg, svg.svg_render(clouds, sys_.eigenvalues, window))
+        window = oracle.default_window(sys_, epsilon, A)
+        plot = svg.svg_render([(c.kind, c.points) for c in clouds], sys_.eigenvalues, window)
+    sha = io.matrix_hash(args.matrix)
+
+    notes = [f", epsilon={epsilon:.6e}, pair={clouds[0].meta['pair']}", ""]
+    for path, cloud, note in zip((args.out, args.out + ".baseline.csv"), clouds, notes):
+        io.save_cloud(path, cloud, sha)
+        print(f"wrote {path}: {len(cloud)} points{note}")
+    if args.svg:
+        io.atomic_write(args.svg, plot)
         print(f"wrote {args.svg}")
     return 0
 
@@ -278,7 +274,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PseudospecError, OSError, ValueError) as exc:
+    except (PseudospecError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -110,7 +110,10 @@ def _collector_paused():
 def _matrix_doc(text: str):
     """``(doc, parts)``: the matrix file ``text`` parsed, its ``entries``
     taken out of ``doc`` as an (n * n, 2) float array, or BadParams."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise BadParams("a matrix file's JSON nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise BadParams("a matrix file must hold a JSON object")
     n, entries = doc.get("n"), doc.pop("entries", None)
@@ -231,7 +234,7 @@ def load_cloud(path: str, dim_hint: int):
     def parse(key, convert, write=str):  # the line must be the writer's text
         try:
             value = convert(header[key])
-        except ValueError as exc:  # json.JSONDecodeError included
+        except (ValueError, RecursionError) as exc:  # json.JSONDecodeError included
             raise BadParams(f"cloud header line {key!r} does not parse ({exc})") from None
         if write(value) != header[key]:
             raise BadParams(f"cloud header line {key!r} is not written as {write(value)!r}")

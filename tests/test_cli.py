@@ -341,6 +341,13 @@ def test_malformed_matrix_file_exit_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_matrix_file_nested_past_the_parser_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1, "entries": ' + "[" * 10_000 + "]" * 10_000 + "}")
+    assert run("analyze", path) == 2
+    assert capsys.readouterr() == ("", "error: a matrix file's JSON nests too deeply to parse\n")
+
+
 @pytest.mark.parametrize("jordan", [False, True], ids=["tridiag", "jordan"])
 @pytest.mark.parametrize("eps_max,steps,flag", [
     ("0.1", "0", "--steps"), ("0.1", "-3", "--steps"),
@@ -546,15 +553,17 @@ def test_zero_matrix_exit_3_without_warning(tmp_path, capsys):
     (["approx", "--seed", "-1", "--out", "c.csv"], "--seed", ["c.csv"]),
     (["oracle", "--res", "4x4", "--bounds=-1.7e308,1.7e308,-1,1", "--out", "g.csv"], "--bounds",
      ["g.csv"]),
-    # The window overflows only after the sweep, but is checked before any write.
+    # The window overflows only after the sweep, and the plot is built before any write.
     (["approx", "--epsilon", "1e308", "--out", "c.csv", "--svg", "p.svg"], "plot window",
      ["c.csv", "p.svg"]),
+    (["approx", "--epsilon", "1e308", "--baseline", "2", "--out", "c.csv", "--svg", "p.svg"],
+     "plot window", ["c.csv", "c.csv.baseline.csv", "p.svg"]),
     (["oracle", "--res", "4x4", "--eps-list", "1e308", "--out", "g.csv"],
      "--eps-list (choose one with --bounds)", ["g.csv"]),
 ], ids=["epsilon-nan", "epsilon-inf", "baseline-negative", "slack-nan", "bounds-inf",
         "eps-list-negative", "eps-list-zero", "check-bounds-inf", "check-res-1x1",
         "baseline-seed-negative", "seed-negative", "bounds-span-overflows", "svg-window-overflows",
-        "eps-list-window-overflows"])
+        "svg-window-overflows-with-baseline", "eps-list-window-overflows"])
 def test_bad_numeric_flag_exit_2_before_any_write(
     matrix_file, tmp_path, capsys, monkeypatch, argv, named, outputs
 ):
@@ -631,6 +640,8 @@ _UNPARSABLE_HEADER_VALUES = {
     "epsilon": (r"^# epsilon=.*$", "# epsilon=abc"),
     "pair": (r"^# pair=.*$", "# pair=[0,"),
     "dim": (r"^# dim=5$", "# dim=["),
+    # Nested past the JSON parser's recursion limit.
+    "support": (r"^# support=.*$", "# support=" + "[" * 10_000 + "]" * 10_000),
 }
 
 
@@ -808,6 +819,52 @@ def test_linalg_error_in_a_worker_slice_exit_3(engine_workers, monkeypatch, matr
     assert run("approx", matrix_file, "--angles", "20", "--out", out) == 3
     assert capsys.readouterr().err == "numeric failure: Eigenvalues did not converge\n"
     assert not out.exists()
+
+
+def test_failed_baseline_writes_no_output(engine_workers, monkeypatch, matrix_file,
+                                          tmp_path, capsys):
+    # The sweep's stacked eigensolves succeed and every one of the baseline's fails.
+    monkeypatch.setattr(numkernel, "STACK_ENTRIES", 4 * 25)
+    calls = itertools.count()
+    eigvals = np.linalg.eigvals
+
+    def counted_eigvals(stack):
+        if next(calls) >= sweep_calls:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(stack)
+
+    sweep_calls = np.inf
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    (tmp_path / "sweep").mkdir()
+    assert run("approx", matrix_file, "--angles", "20", "--out", tmp_path / "sweep" / "c.csv") == 0
+    sweep_calls, calls = next(calls), itertools.count()
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run("approx", matrix_file, "--angles", "20", "--baseline", "2",
+               "--out", "c.csv", "--svg", "p.svg") == 3
+    assert capsys.readouterr() == ("", "numeric failure: Eigenvalues did not converge\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "sweep"]
+
+
+@pytest.mark.parametrize("argv,step", [
+    (["generate", "--family", "tridiag_toeplitz", "--n", "5", "--seed", "0", "--out", "g.json"],
+     (families, "generate")),
+    (["approx", "{m}", "--angles", "4", "--baseline", "2", "--out", "c.csv", "--svg", "p.svg"],
+     (cli.approx_mod, "random_cloud")),
+    (["oracle", "{m}", "--res", "4x4", "--out", "g.csv"], (cli.oracle, "grid_field")),
+], ids=["generate", "approx-baseline", "oracle-grid"])
+def test_memory_error_exit_2_without_traceback(matrix_file, tmp_path, capsys, monkeypatch,
+                                               argv, step):
+    message = "Unable to allocate 149. GiB for an array with shape (4000000, 1000, 5)"
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*step, too_large)
+    monkeypatch.chdir(tmp_path)
+    assert run(*(a.format(m=matrix_file) for a in argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 def test_cli_import_and_parser_start_no_thread():

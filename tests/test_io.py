@@ -395,7 +395,7 @@ def test_load_matrix_reads_the_entries_bit_for_bit(hamiltonian_40, tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("fault", [None, "entry-count", "non-numeric"])
+@pytest.mark.parametrize("fault", [None, "entry-count", "non-numeric", "deep-nesting"])
 def test_load_matrix_leaves_the_collector_as_it_found_it(tmp_path, enabled, fault):
     path = tmp_path / "m.json"
     io.save_matrix(str(path), np.eye(2))
@@ -404,7 +404,10 @@ def test_load_matrix_leaves_the_collector_as_it_found_it(tmp_path, enabled, faul
         doc["entries"].pop()
     elif fault == "non-numeric":
         doc["entries"][1][0] = "one"
-    path.write_text(json.dumps(doc))
+    text = json.dumps(doc)
+    if fault == "deep-nesting":  # past the parser's recursion limit, inside the pause
+        text = text.replace("[[", "[" * 10_000 + "[[", 1).replace("]]", "]]" + "]" * 10_000, 1)
+    path.write_text(text)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
