@@ -141,57 +141,54 @@ def _layout(kind: str, pattern: StructurePattern, meta: dict, points: int | None
     return (a[:: shape[2]], b[:: shape[2]]), columns
 
 
-def _mirrors(A: np.ndarray, D: np.ndarray, terms: np.ndarray, scales: np.ndarray):
+def _mirrors(A: np.ndarray, D: np.ndarray, circle: np.ndarray):
     """The row mirror of ``_perturbed_spectra``: ``(source, signs)``.
 
-    One forward pass over the rows.  Row p copies an earlier solved row q
-    (source[p] = q, signs[p] = s) when a symmetry (psi, s) of A
-    (``structures.symmetries``) has psi(D[terms[p]]) equal to D[terms[q]]
-    and scales[q] equal to conj(scales[p]), both by exact array equality:
-    the two rows' matrices are then exact images of each other in floating
-    point, and the spectrum of row p is that of row q mapped by
-    z -> s * conj(z).  Any other row is solved (source[p] = p, signs[p] = 0),
-    and a row copies only solved rows.
+    A symmetry (psi, s) of A (``structures.symmetries``) maps row (t, k),
+    the matrix A + circle[k] * D[t], onto row (pi(t), -k mod K) when
+    psi(D[t]) is D[pi(t)] and circle[-k mod K] is conj(circle[k]), both by
+    exact equality: the two matrices are then exact images of each other
+    in floating point, and so are their spectra, by z -> s * conj(z).  One
+    forward pass: row p copies the first such earlier solved row q
+    (source[p] = q, signs[p] = s); any other row is solved (source[p] = p,
+    signs[p] = 0).
     """
-    source, signs = np.arange(len(terms)), np.zeros(len(terms), dtype=int)
+    K = len(circle)
+    source, signs = list(range(len(D) * K)), [0] * (len(D) * K)
     found = symmetries(A)
     if not found:
-        return source, signs
-    # Directions as ids of their bytes, the first of equal ones; x + 0.0
-    # reads -0.0 as 0.0, as array equality does (and Python's complex ==
-    # and hash, which key the scales).
+        return np.array(source), np.array(signs)
+    # pi(t) is the first direction of psi(D[t])'s bytes; x + 0.0 reads -0.0 as 0.0, as == does.
     index = {}
     for u, M in enumerate(D + 0.0):
         index.setdefault(M.tobytes(), u)
-    ids = [index[M.tobytes()] for M in D + 0.0]
     images = [[index.get(M.tobytes()) for M in psi(D) + 0.0] for psi, _ in found]
-    solved = {}
-    for p, (t, c) in enumerate(zip(terms.tolist(), scales.tolist())):
+    reflects = (circle[-np.arange(K) % K] == circle.conj()).tolist()
+    for p, (t, k) in enumerate(np.ndindex(len(D), K)):
         for image, (_, s) in zip(images, found):
-            q = solved.get((image[t], c.conjugate()))
-            if q is not None:
+            q = p if image[t] is None or not reflects[k] else image[t] * K + -k % K
+            if q < p and not signs[q]:  # an earlier solved row
                 source[p], signs[p] = q, s
                 break
-        else:
-            solved.setdefault((ids[t], c), p)
-    return source, signs
+    return np.array(source), np.array(signs)
 
 
-def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.ndarray):
-    """Spectra of A + scales[p] * directions[terms[p]] for every row p.
+def _perturbed_spectra(A: np.ndarray, directions, eps: float, K: int):
+    """Spectra of A + c_k * directions[t] in row t * K + k, c = ``_unit_circle(eps, K)``.
 
     Stacked eigensolves over the rows that ``_mirrors`` leaves solved, in
     slices run by ``numkernel._stacked``; every other row takes its source
     row's spectrum mapped by z -> s * conj(z).  Each spectrum is sorted by
-    the order rule of ``eig_pairs``, on the scale ||A||_F + max |scales| *
+    the order rule of ``eig_pairs``, on the scale ||A||_F + max |c_k| *
     max ||D||_F that bounds every row's Frobenius norm (each from
     ``numkernel._frobenius``), and the points are returned flattened in
     row order.
     """
     A = np.asarray(A, dtype=complex)
     D = np.asarray(directions, dtype=complex)
-    spectra = np.empty((len(terms), A.shape[0]), dtype=complex)
-    source, signs = _mirrors(A, D, terms, scales)
+    circle = _unit_circle(eps, K)
+    spectra = np.empty((len(D) * K, A.shape[0]), dtype=complex)
+    source, signs = _mirrors(A, D, circle)
     mirrored = signs != 0
     solve = np.flatnonzero(~mirrored)
 
@@ -199,8 +196,8 @@ def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.
         # One buffer per slice: gather, scale in place, add A.  The scale
         # stays the first factor, so each product rounds exactly as c * D.
         rows = solve[rows]
-        stack = D[terms[rows]]
-        np.multiply(scales[rows, None, None], stack, out=stack)
+        stack = D[rows // K]
+        np.multiply(circle[rows % K, None, None], stack, out=stack)
         stack += A
         spectra[rows] = np.linalg.eigvals(stack)
 
@@ -208,14 +205,16 @@ def _perturbed_spectra(A: np.ndarray, directions, terms: np.ndarray, scales: np.
     images = spectra[source[mirrored]].conj()
     spectra[mirrored] = np.where(signs[mirrored, None] < 0, -images, images)
     norm_a, *norms_d = map(numkernel._frobenius, (A, *D))
-    order = numkernel._spectral_order(spectra, norm_a + np.abs(scales).max() * max(norms_d))
+    order = numkernel._spectral_order(spectra, norm_a + np.abs(circle).max() * max(norms_d))
     return np.take_along_axis(spectra, order, axis=1).ravel()
 
 
 def _unit_circle(eps: float, K: int) -> np.ndarray:
     """eps * e^{i theta_k} on the module's angle grid, k = 0 ... K - 1,
     conjugate-symmetric by construction: c_{K-k} = conj(c_k), the points
-    with k <= K / 2 evaluated and the rest their conjugates."""
+    with k <= K / 2 evaluated and the rest their conjugates.  At even K,
+    c_{K/2} = eps * e^{i pi} is not its own conjugate: its imaginary part
+    is about 1.2e-16 eps."""
     half = eps * np.exp(1j * (2.0 * np.pi * np.arange(K // 2 + 1) / K))
     return np.concatenate((half, half[1 : K - K // 2][::-1].conj()))
 
@@ -228,9 +227,9 @@ def sweep_wilkinson(A: np.ndarray, sys: Eigensystem, cfg: SweepConfig) -> PointC
     """
     pair, eps = resolve_pair_and_epsilon(sys, cfg)
     meta = {"pair": pair, "angles": cfg.angles}
-    d, k = _layout(WILKINSON_SWEEP, cfg.pattern, meta)[0]
+    _layout(WILKINSON_SWEEP, cfg.pattern, meta)
     directions = [wilkinson(sys, i, cfg.pattern) for i in pair]
-    points = _perturbed_spectra(A, directions, d, _unit_circle(eps, cfg.angles)[k])
+    points = _perturbed_spectra(A, directions, eps, cfg.angles)
     return PointCloud(points, eps, cfg.pattern, WILKINSON_SWEEP, meta)
 
 
@@ -247,13 +246,13 @@ def random_cloud(
         raise ValueError("random_cloud requires an explicit epsilon")
     A = _check_dim(A, cfg.pattern)
     meta = {"samples": samples, "angles": cfg.angles, "seed": seed}
-    s, k = _layout(RANDOM_BASELINE, cfg.pattern, meta)[0]
+    _layout(RANDOM_BASELINE, cfg.pattern, meta)
     rng = np.random.default_rng(seed)
     if cfg.pattern.kind == FULL:
         directions = [random_rank_one(len(A), rng) for _ in range(samples)]
     else:
         directions = [random_member(cfg.pattern, rng) for _ in range(samples)]
-    points = _perturbed_spectra(A, directions, s, _unit_circle(cfg.epsilon, cfg.angles)[k])
+    points = _perturbed_spectra(A, directions, cfg.epsilon, cfg.angles)
     return PointCloud(points, cfg.epsilon, cfg.pattern, RANDOM_BASELINE, meta)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import approx as approx_mod
 from . import families, io, oracle, sensitivity, structures, svg
-from .errors import BadParams, EmptyLevelSet, NumericFailure, PseudospecError
+from .errors import BadParams, NumericFailure, PseudospecError
 from .numkernel import _is_real, eig_pairs
 
 EXIT_VALIDATION = 2
@@ -172,25 +172,18 @@ def cmd_oracle(args) -> int:
         io.save_grid(args.out, field)
         print(f"wrote {args.out}")
 
-    # An empty level set stops the abscissa lines but is raised only after
-    # the inclusion line, so a run with both still reports its verdict.
-    empty = None
-    for eps in eps_list:
-        try:
+    # An empty level set stops the abscissa lines; the inclusion line prints before it is raised.
+    try:
+        for eps in eps_list:
             value, unc = oracle.abscissa_grid(field, eps)
-        except EmptyLevelSet as exc:
-            empty = exc
-            break
-        print(f"eps={eps:.6e}: abscissa={value:.6e} +/- {unc:.3e}")
-
-    if report is not None:
-        pct = 100.0 * report.passed / max(report.total, 1)
-        print(
-            f"inclusion check: pass {pct:.1f}% ({report.passed}/{report.total}), "
-            f"worst sigma_min={report.worst_value:.6e}"
-        )
-    if empty is not None:
-        raise empty
+            print(f"eps={eps:.6e}: abscissa={value:.6e} +/- {unc:.3e}")
+    finally:
+        if report is not None:
+            pct = 100.0 * report.passed / max(report.total, 1)
+            print(
+                f"inclusion check: pass {pct:.1f}% ({report.passed}/{report.total}), "
+                f"worst sigma_min={report.worst_value:.6e}"
+            )
     if report is not None and not report.all_passed:
         raise NumericFailure("cloud inclusion check failed")
     return 0

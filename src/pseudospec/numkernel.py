@@ -267,13 +267,16 @@ def _sigma_min_bounds(A: np.ndarray, zs: np.ndarray) -> np.ndarray:
     ||B||_F >= 1/2 (see :func:`_scaled`), so the budget is at least 2 n u
     and also covers underflow in the residual and in z / 2^e.
     A non-finite beta (z an eigenvalue, or so close that the solves
-    overflow) is returned as +inf.
+    overflow) is returned as +inf; NonConvergence if no Schur form is found.
     """
     _, B, e = _scaled(A)
     zs = np.asarray(zs, dtype=complex).ravel()
     n = B.shape[0]
     z = np.ldexp(zs.view(float), -e).view(complex)
-    T = scipy.linalg.schur(B, output="complex", check_finite=False)[0]
+    try:
+        T = scipy.linalg.schur(B, output="complex", check_finite=False)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
     diag = np.diagonal(T)[None, :] - z[:, None]
     w = np.ones((z.shape[0], n), dtype=complex)
     y = np.empty_like(w)

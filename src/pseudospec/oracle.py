@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLevelSet, OutOfBounds
-from .numkernel import _sigma_min_bounds, sigma_min_batch
+from .numkernel import _sigma_min_bounds, _unit_scaled, sigma_min_batch
 from .sensitivity import kappas
 from .structures import full, symmetries
 
@@ -64,14 +64,15 @@ class GridField:
 
 
 def default_window(sys, epsilon: float, A: np.ndarray) -> tuple:
-    """Spectrum bounding box padded by 2 * eps * max kappa on each side,
-    closed under the point maps z -> s * conj(z) of A's symmetries
-    (``structures.symmetries``): s = 1 makes im_min = -im_max, s = -1
-    makes re_min = -re_max, exactly.  A box that is already closed keeps
-    its bits, as the box of real A does (dgeev's exact conjugate pairs)."""
+    """Spectrum bounding box padded by 2 * eps * max kappa, at least
+    1e-6 * 2^e (A's scale of ``numkernel._unit_scaled``, so A * 2^k gets
+    the window scaled by 2^k), on each side, closed under the point maps
+    z -> s * conj(z) of A's symmetries (``structures.symmetries``): s = 1
+    makes im_min = -im_max, s = -1 makes re_min = -re_max, exactly.  A box
+    that is already closed keeps its bits, as the box of real A does
+    (dgeev's exact conjugate pairs)."""
     w = sys.eigenvalues
-    pad = 2.0 * epsilon * max(kappas(sys, full(sys.dim)))
-    pad = max(pad, 1e-6)
+    pad = max(2.0 * epsilon * max(kappas(sys, full(sys.dim))), np.ldexp(1e-6, _unit_scaled(A)[1]))
     box = [w.real.min() - pad, w.real.max() + pad, w.imag.min() - pad, w.imag.max() + pad]
     for _, s in symmetries(A):
         i = 2 if s > 0 else 0  # z -> conj(z) flips Im, z -> -conj(z) flips Re

@@ -367,18 +367,18 @@ class TestBatchedEngine:
         monkeypatch.setattr(numkernel, "STACK_ENTRIES", 7 * n * n)
         self._check(A, S)
 
-    def test_row_table_matches_per_row_eigvals(self, engine_workers, monkeypatch):
-        # A table that is no (direction x scale) product: shuffled rows, and
-        # directions that repeat, in slices of 2 matrices.
+    def test_product_table_matches_per_row_eigvals(self, engine_workers, monkeypatch):
+        # Row t * K + k is A + c_k * D[t]: directions that repeat, in
+        # slices of 2 matrices, each row against its own eigensolve.
         rng = np.random.default_rng(8)
         A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         D = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
-        terms = np.array([2, 0, 2, 1, 0, 0, 2])
-        scales = 1e-3 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        D = D[[2, 0, 2, 1, 0, 0, 2]]
         monkeypatch.setattr(numkernel, "STACK_ENTRIES", 2 * 25)
-        points = approx._perturbed_spectra(A, D, terms, scales)
-        scale = _fro(A) + np.abs(scales).max() * max(map(_fro, D))
-        expected = [_sorted_spectrum(A + c * D[t], scale) for t, c in zip(terms, scales)]
+        points = approx._perturbed_spectra(A, D, 1e-3, 5)
+        circle = _circle(1e-3, 5)
+        scale = _fro(A) + np.abs(circle).max() * max(map(_fro, D))
+        expected = [_sorted_spectrum(A + c * M, scale) for M in D for c in circle]
         assert np.array_equal(points, np.concatenate(expected))
 
     def test_slices_stay_within_budget(self, engine_workers, monkeypatch):
@@ -475,16 +475,12 @@ class TestRowMirror:
 
     @staticmethod
     def _tables(A, sys, S, K):
-        """Both clouds with the engine's row tables: (cloud, directions, terms, scales)."""
+        """Both clouds with the engine's products: (cloud, directions, circle)."""
         sweep = sweep_wilkinson(A, sys, SweepConfig(pattern=S, angles=K))
         base = random_cloud(A, SweepConfig(pattern=S, epsilon=sweep.epsilon, angles=K), 3, 5)
         circle = _circle(sweep.epsilon, K)
-        for cloud, directions in (
-            (sweep, [wilkinson(sys, i, S) for i in sweep.meta["pair"]]),
-            (base, _random_directions(S, 3, 5)),
-        ):
-            terms, k = approx._layout(cloud.kind, S, cloud.meta)[0]
-            yield cloud, np.array(directions), terms, circle[k]
+        yield sweep, np.array([wilkinson(sys, i, S) for i in sweep.meta["pair"]]), circle
+        yield base, np.array(_random_directions(S, 3, 5)), circle
 
     @pytest.mark.parametrize("K", [8, 9])
     @pytest.mark.parametrize("A,S", _mirror_cases())
@@ -500,12 +496,12 @@ class TestRowMirror:
         clouds = list(self._tables(A, sys, S, K))
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
         u = np.finfo(float).eps / 2
-        for cloud, D, terms, scales in clouds:
+        for cloud, D, circle in clouds:
             rows = cloud.points.reshape(-1, n)
-            scale = _fro(A) + np.abs(scales).max() * max(map(_fro, D))
-            source, signs = approx._mirrors(A, D, terms, scales)
-            for p, (t, c) in enumerate(zip(terms, scales)):
-                M = c * D[t] + A  # the engine's rounding: c * D first, then + A
+            scale = _fro(A) + np.abs(circle).max() * max(map(_fro, D))
+            source, signs = approx._mirrors(A, D, circle)
+            for p, (t, k) in enumerate(np.ndindex(len(D), K)):
+                M = circle[k] * D[t] + A  # the engine's rounding: c * D first, then + A
                 # A backward-stable eigensolve returns the exact spectrum of
                 # M + E with ||E||_2 <= p(n) u ||M||_F, so each computed
                 # eigenvalue lies within kappa p(n) u ||M||_F of an exact
@@ -521,11 +517,36 @@ class TestRowMirror:
                 q = source[p]
                 if q != p:
                     assert source[q] == q and q < p
-                    assert np.array_equal(_image(M, signs[p]), scales[q] * D[terms[q]] + A)
+                    assert np.array_equal(_image(M, signs[p]), circle[q % K] * D[q // K] + A)
                     image = rows[q].conj() if signs[p] > 0 else -rows[q].conj()
                     assert np.array_equal(rows[p], _sort(image, scale))
-        assert sum(solved) == sum(np.count_nonzero(approx._mirrors(A, D, t, c)[0] == np.arange(len(t)))
-                                  for _, D, t, c in clouds)
+        assert sum(solved) == sum(np.count_nonzero(approx._mirrors(A, D, c)[0] == np.arange(len(D) * K))
+                                  for _, D, c in clouds)
+
+    def test_half_turn_rows_of_a_conjugate_pair_are_solved(self):
+        # Real A whose swept pair is a conjugate pair: psi = conj maps
+        # direction 0 exactly onto direction 1.  At even K the point
+        # c_{K/2} = eps * e^{i pi} has an imaginary part of about 1.2e-16
+        # eps, so it is not its own conjugate: row (1, K/2) is no exact
+        # image of row (0, K/2), and both are solved.
+        A, _, _ = generate("pentadiag_toeplitz", 6, seed=4)
+        A = A.real.astype(complex)
+        sys, K = eig_pairs(A), 8
+        sweep = sweep_wilkinson(A, sys, SweepConfig(pattern=full(6), angles=K))
+        D = np.array([wilkinson(sys, i, full(6)) for i in sweep.meta["pair"]])
+        assert np.array_equal(D[1], D[0].conj())
+        circle = _circle(sweep.epsilon, K)
+        assert circle[K // 2] != circle[K // 2].conj()
+        source, signs = approx._mirrors(A, D, circle)
+        assert source[K // 2] == K // 2 and source[K + K // 2] == K + K // 2
+        others = [k for k in range(K) if k != K // 2]
+        assert np.array_equal(source[[K + k for k in others]], [-k % K for k in others])
+        assert np.array_equal(signs[[K + k for k in others]], np.ones(K - 1))
+        n = A.shape[0]
+        scale = _fro(A) + np.abs(circle).max() * max(map(_fro, D))
+        for t in range(2):
+            row = sweep.points.reshape(-1, n)[t * K + K // 2]
+            assert np.array_equal(row, _sorted_spectrum(A + circle[K // 2] * D[t], scale))
 
     @pytest.mark.parametrize("family,solved", [
         ("hamiltonian_random", 312), ("tridiag_toeplitz", 312), ("pentadiag_toeplitz", 600)

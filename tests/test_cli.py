@@ -230,6 +230,19 @@ class TestApprox:
                          (tmp_path / (name + ".baseline.csv")).read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_tiny_epsilon_far_from_the_origin_plots(self, tmp_path):
+        # Eigenvalues 1e11 +/- 3e10i, whose spacing (about 1.5e-5) swallowed
+        # a pad of 2 eps kappa and an absolute floor of 1e-6 alike; the
+        # floor is 1e-6 * 2^37 here, on A's own scale.
+        matrix = tmp_path / "far.json"
+        io.save_matrix(str(matrix), np.array([[1e11, 3e10], [-3e10, 1e11]]))
+        assert run("approx", matrix, "--angles", "8", "--epsilon", "1e-9",
+                   "--out", tmp_path / "c.csv", "--svg", tmp_path / "c.svg") == 0
+        # The oracle's window builds too; its 20x20 grid misses the tiny level set.
+        grid = tmp_path / "g.csv"
+        assert run("oracle", matrix, "--res", "20x20", "--eps-list", "1e-9", "--out", grid) == 3
+        assert grid.exists()
+
     def test_svg_is_valid_and_plots_points(self, matrix_file, tmp_path):
         out = tmp_path / "cloud.csv"
         svg = tmp_path / "plot.svg"
@@ -269,6 +282,20 @@ class TestOracle:
 
     def test_bad_bounds_exit_code(self, matrix_file):
         assert run("oracle", matrix_file, "--bounds", "0,1,2") == 2
+
+    def test_schur_failure_exits_3(self, matrix_file, tmp_path, monkeypatch, capsys):
+        import scipy.linalg
+
+        out = tmp_path / "cloud.csv"
+        assert run("approx", matrix_file, "--angles", "4", "--out", out) == 0
+
+        def failing_schur(*args, **kwargs):
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+
+        monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
+        capsys.readouterr()
+        assert run("oracle", matrix_file, "--check", out) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: Schur form not found")
 
 
 class TestTrajectory:

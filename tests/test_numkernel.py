@@ -750,6 +750,16 @@ class TestSigmaMinBounds:
         # singular values 1.1, 0.9 and 0.1: two steps leave a tight bound
         assert 0.1 <= bounds[1] <= 0.1 + 1e-6
 
+    def test_schur_failure_is_nonconvergence(self, monkeypatch):
+        import scipy.linalg
+
+        def failing_schur(*args, **kwargs):
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+
+        monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
+        with pytest.raises(NonConvergence, match="Schur form not found"):
+            _sigma_min_bounds(np.diag([1.0, 2.0, 3.0]), [0.5])
+
     def test_zero_matrix(self):
         zs = np.array([0.0, 1.0 + 1.0j, -3.0])
         bounds = _sigma_min_bounds(np.zeros((3, 3)), zs)
